@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile
+.PHONY: all build test bench lint fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile perfbench
 
 all: build lint test
 
@@ -55,6 +55,15 @@ obs-smoke:
 # BENCH_chaos.json — the same script the CI "chaos" job runs.
 chaos-smoke:
 	./scripts/chaos-smoke.sh
+
+# The repo benchmark declared in BENCHMARK.json: builds perfbench and
+# the programs it drives into .bench_build/, then runs each workload
+# for 30 s at SEED and prints its metrics as JSON.
+SEED ?= 1
+perfbench:
+	for w in cold-f64 cold-f32 fleet-mix; do \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds 30 || exit 1; \
+	done
 
 # CPU + heap profiles of the serve hot path: one full cold suggest
 # request (handler -> batcher -> fused scoring -> encode) per

@@ -44,7 +44,7 @@ func main() {
 		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening")
 		workers     = flag.Int("workers", 0, "kernel worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 		maxBatch    = flag.Int("batch-max", 64, "max patients coalesced into one score-matrix call")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "how long a lone request waits to be batched (0 = never wait)")
+		batchWindow = flag.Duration("batch-window", 0, "how long a lone request waits for company (0 = never wait, only batch what is already queued: a batch costs the sum of its rows, so waiting just idles the core)")
 		cacheSize   = flag.Int("cache", 4096, "result cache entries across endpoints (negative disables)")
 		defaultK    = flag.Int("default-k", 4, "suggestion list length when a request omits k")
 		precision   = flag.String("precision", "f64", "serving precision: f64 (oracle), f32 (SIMD quantized) or int8-experimental; hot reloads keep it unless the reload request names another")

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -89,6 +90,37 @@ func BenchmarkAddScaled(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dst.AddScaled(x, 1e-9)
+			}
+		})
+	}
+}
+
+// BenchmarkMulRowsInto is the layer-1 pair decode of one cold suggest
+// at the serving shape (86 drugs against a 385x384 W1), one row at a
+// time through MulRowInto and in blocks through MulRowsInto. Both
+// produce the same bits; run it at -cpu 1.
+func BenchmarkMulRowsInto(b *testing.B) {
+	const drugs, k, h = 86, 385, 384
+	rng := rand.New(rand.NewSource(1))
+	a := randDense(rng, drugs, k)
+	w := randDense(rng, k, h)
+	dst := New(drugs, h)
+	arows, drows := make([][]float64, drugs), make([][]float64, drugs)
+	for i := range arows {
+		arows[i], drows[i] = a.Row(i), dst.Row(i)
+	}
+	for _, block := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("block%d", block), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for lo := 0; lo < drugs; lo += block {
+					hi := min(lo+block, drugs)
+					if block == 1 {
+						MulRowInto(drows[lo], arows[lo], w)
+					} else {
+						MulRowsInto(drows[lo:hi], arows[lo:hi], w)
+					}
+				}
 			}
 		})
 	}

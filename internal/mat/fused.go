@@ -76,6 +76,53 @@ func MulRowInto(dst, arow []float64, b *Dense) {
 	}
 }
 
+// MulRowsInto computes dst[i] = arows[i] * b for a block of rows. Each
+// row gets exactly the operations MulRowInto runs for it — the same
+// panels, quads, tails and zero-quad skips, in the same order — so
+// every output is bitwise identical to the per-row kernel. Only the
+// loop nesting differs: the quad loop is outermost, so each 4-row
+// slab of b is applied to every row of the block while it is still
+// cache-hot instead of being streamed once per row.
+//
+// Runs entirely on the calling goroutine and allocates nothing.
+func MulRowsInto(dst, arows [][]float64, b *Dense) {
+	if len(dst) != len(arows) {
+		panic(fmt.Sprintf("mat: MulRowsInto got %d dst rows for %d input rows", len(dst), len(arows)))
+	}
+	for i, arow := range arows {
+		if len(arow) != b.rows || len(dst[i]) != b.cols {
+			panic(fmt.Sprintf("mat: MulRowsInto shape mismatch dst[%d] = arow[%d] * %dx%d",
+				len(dst[i]), len(arow), b.rows, b.cols))
+		}
+	}
+	for _, row := range dst {
+		clear(row)
+	}
+	K := b.rows
+	for kb := 0; kb < K; kb += blockK {
+		ke := min(kb+blockK, K)
+		k := kb
+		for ; k+3 < ke; k += 4 {
+			b4 := b.data[k*b.cols : (k+4)*b.cols]
+			for i, arow := range arows {
+				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue
+				}
+				mulAddRows4(dst[i], b4, a0, a1, a2, a3)
+			}
+		}
+		for ; k < ke; k++ {
+			brow := b.Row(k)
+			for i, arow := range arows {
+				if av := arow[k]; av != 0 {
+					mulAddRow1(dst[i], brow, av)
+				}
+			}
+		}
+	}
+}
+
 // HadamardRowInto computes dst[i] = a[i]*b[i] for plain slices — the
 // row-level form of HadamardInto, sharing its element formula (and
 // vector kernel) so fused consumers match the batched op bitwise.

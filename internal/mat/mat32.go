@@ -115,6 +115,61 @@ func MulRowHadamardInto32(dst, x, y []float32, t float32, b *Dense32) {
 	}
 }
 
+// MulRowsHadamardInto32 is MulRowHadamardInto32 for a block of pairs
+// sharing x:
+//
+//	dst[i] = concat(x⊙ys[i], t[i]) * b
+//
+// Each pair gets exactly the operations MulRowHadamardInto32 runs for
+// it — the same coefficient products, quads, tail, treatment row and
+// zero skips, in the same order — so every output is bitwise identical
+// to the per-pair kernel. The quad loop is outermost, so each 4-row
+// slab of b serves the whole block while it is cache-hot.
+func MulRowsHadamardInto32(dst [][]float32, x []float32, ys [][]float32, t []float32, b *Dense32) {
+	d := len(x)
+	if len(ys) != len(dst) || len(t) != len(dst) || b.rows != d+1 {
+		panic(fmt.Sprintf("mat: MulRowsHadamardInto32 got %d dst rows, %d y rows, %d t values for x[%d] * %dx%d",
+			len(dst), len(ys), len(t), d, b.rows, b.cols))
+	}
+	for i, y := range ys {
+		if len(y) != d || len(dst[i]) != b.cols {
+			panic(fmt.Sprintf("mat: MulRowsHadamardInto32 shape mismatch dst[%d] = concat(x[%d]⊙y[%d], t) * %dx%d",
+				len(dst[i]), d, len(y), b.rows, b.cols))
+		}
+	}
+	for _, row := range dst {
+		clear(row)
+	}
+	k := 0
+	for ; k+3 < d; k += 4 {
+		b4 := b.data[k*b.cols : (k+4)*b.cols]
+		for i, y := range ys {
+			a0 := x[k] * y[k]
+			a1 := x[k+1] * y[k+1]
+			a2 := x[k+2] * y[k+2]
+			a3 := x[k+3] * y[k+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			mulAddRows432(dst[i], b4, a0, a1, a2, a3)
+		}
+	}
+	for ; k < d; k++ {
+		brow := b.Row(k)
+		for i, y := range ys {
+			if av := x[k] * y[k]; av != 0 {
+				mulAddRow132(dst[i], brow, av)
+			}
+		}
+	}
+	brow := b.Row(d)
+	for i, tv := range t {
+		if tv != 0 {
+			mulAddRow132(dst[i], brow, tv)
+		}
+	}
+}
+
 // Quant8 is a row-quantized int8 matrix: each row carries its own
 // affine (scale, offset) pair, chosen so the row's value range maps
 // onto [-127, 127]. One element costs 1 byte plus the amortized 8

@@ -3,9 +3,10 @@ package md
 import "dssddi/internal/mat"
 
 // This file is the float32 twin of the tiled scoring engine in
-// score.go — the same (patient, drug tile) walk, exp-skipping top-k
-// selection and pooled scratch, with the pair decode running through
-// the eight-lane f32 kernels (nn.PairDecoder32) over the quantized
+// score.go — the same (patient, drug tile) walk, pairBlock drug
+// blocks, exp-skipping top-k selection and pooled scratch, with the
+// pair decode running through the eight-lane f32 kernels
+// (nn.PairDecoder32.LogitsInto) over the quantized
 // representations SetPrecision derived. Engine entry points dispatch
 // here whenever pd32 is non-nil, so the callers in score.go and
 // inductive.go stay the single public surface.
@@ -26,33 +27,43 @@ func floats32Into(dst []float32, src []float64) {
 	}
 }
 
-// drugRow32 returns drug v's serving representation: a direct row of
-// the f32 matrix, or — on the int8 path — the row dequantized into the
-// scratch's deq buffer (valid until the next call on this scratch).
-func (m *Model) drugRow32(sc *scoreScratch, v int) []float32 {
+// drugRows32 returns the serving representations of drugs [v0, v0+n):
+// rows of the f32 matrix or — on the int8 path — the rows dequantized
+// into the scratch's block buffer (valid until the next call on this
+// scratch).
+func (m *Model) drugRows32(sc *scoreScratch, v0, n int) [][]float32 {
 	if m.drugQ8 != nil {
-		m.drugQ8.DequantRowInto(sc.deq, v)
-		return sc.deq
+		rows := sc.deq[:n]
+		for i, row := range rows {
+			m.drugQ8.DequantRowInto(row, v0+i)
+		}
+		return rows
 	}
-	return m.drugCache32.Row(v)
+	rows := sc.drows32[:n]
+	for i := range rows {
+		rows[i] = m.drugCache32.Row(v0 + i)
+	}
+	return rows
 }
 
 // scoreTile32 is scoreTile on the f32 path: sigmoid scores for drugs
 // [vLo, vLo+len(dst)) of the patient whose converted hidden
 // representation is in sc.hp32.
 func (m *Model) scoreTile32(dst []float64, sc *scoreScratch, trow []float32, vLo int) {
-	for i := range dst {
-		v := vLo + i
-		dst[i] = mat.Sigmoid(m.pd32.Logit(sc.hp32, m.drugRow32(sc, v), trow[v], sc.hid32))
+	m.logitTile32(dst, sc, trow, vLo)
+	for i, logit := range dst {
+		dst[i] = mat.Sigmoid(logit)
 	}
 }
 
 // logitTile32 is scoreTile32 without the sigmoid — the top-k path
-// defers it exactly like the f64 engine.
+// defers it exactly like the f64 engine, and decodes pairBlock drugs
+// at a time like it too.
 func (m *Model) logitTile32(dst []float64, sc *scoreScratch, trow []float32, vLo int) {
-	for i := range dst {
-		v := vLo + i
-		dst[i] = m.pd32.Logit(sc.hp32, m.drugRow32(sc, v), trow[v], sc.hid32)
+	for b := 0; b < len(dst); b += pairBlock {
+		blk := dst[b:min(b+pairBlock, len(dst))]
+		v0 := vLo + b
+		m.pd32.LogitsInto(blk, sc.hp32, m.drugRows32(sc, v0, len(blk)), trow[v0:v0+len(blk)], sc.hid32)
 	}
 }
 

@@ -80,6 +80,32 @@ func (p *PairDecoder) Logit(a, b []float64, t float64, inter, hid []float64) flo
 
 	hid = hid[:p.h]
 	mat.MulRowInto(hid, inter, p.w1)
+	return p.head(hid, inter[:1]) // layer-1 input is dead; reuse its scratch
+}
+
+// LogitsInto scores a block of pairs sharing a: dst[i] = Logit(a,
+// bs[i], ts[i]), bit for bit. The layer-1 projection runs through
+// mat.MulRowsInto, so each slab of W1 is loaded once per block instead
+// of once per pair. inter and hid are caller-owned scratch holding at
+// least len(dst) rows of exactly d+1 and h elements, clobbered on
+// every call; nothing allocates.
+func (p *PairDecoder) LogitsInto(dst, a []float64, bs [][]float64, ts []float64, inter, hid [][]float64) {
+	n := len(dst)
+	inter, hid = inter[:n], hid[:n]
+	for i, in := range inter {
+		mat.HadamardRowInto(in[:p.d], a[:p.d], bs[i][:p.d])
+		in[p.d] = ts[i]
+	}
+	mat.MulRowsInto(hid, inter, p.w1)
+	for i, h := range hid {
+		dst[i] = p.head(h, inter[i][:1])
+	}
+}
+
+// head finishes a pair from its layer-1 projection hid: bias,
+// activation, then the scalar output layer through the one-element
+// scratch out.
+func (p *PairDecoder) head(hid, out []float64) float64 {
 	if p.act == ActLeakyReLU {
 		// One fused, branch-free pass over the hidden row; identical
 		// element formulas to the separate bias add + activation.
@@ -90,8 +116,6 @@ func (p *PairDecoder) Logit(a, b []float64, t float64, inter, hid []float64) flo
 		}
 		ActivateRow(p.act, hid)
 	}
-
-	out := inter[:1] // layer-1 input is dead; reuse its scratch
 	mat.MulRowInto(out, hid, p.w2)
 	return ActivateScalar(p.outAct, out[0]+p.b2[0])
 }

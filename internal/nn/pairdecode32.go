@@ -59,6 +59,25 @@ func (p *PairDecoder32) Bytes() int {
 func (p *PairDecoder32) Logit(a, b []float32, t float32, hid []float32) float64 {
 	hid = hid[:p.h]
 	mat.MulRowHadamardInto32(hid, a[:p.d], b[:p.d], t, p.w1)
+	return p.head(hid)
+}
+
+// LogitsInto scores a block of pairs sharing a: dst[i] = Logit(a,
+// bs[i], ts[i]), bit for bit, with the layer-1 projection run once per
+// block through mat.MulRowsHadamardInto32. Each bs[i] holds exactly d
+// elements; hid is caller-owned scratch holding at least len(dst) rows
+// of exactly h elements, clobbered on every call; nothing allocates.
+func (p *PairDecoder32) LogitsInto(dst []float64, a []float32, bs [][]float32, ts []float32, hid [][]float32) {
+	hid = hid[:len(dst)]
+	mat.MulRowsHadamardInto32(hid, a[:p.d], bs, ts, p.w1)
+	for i, h := range hid {
+		dst[i] = p.head(h)
+	}
+}
+
+// head finishes a pair from its layer-1 projection hid: bias,
+// activation and the scalar output layer, widened to float64.
+func (p *PairDecoder32) head(hid []float32) float64 {
 	if p.act == ActLeakyReLU {
 		mat.AddBiasLeakyInto32(hid, p.b1, 0.01)
 	} else {

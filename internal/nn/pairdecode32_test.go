@@ -52,6 +52,25 @@ func TestPairDecoder32TracksOracle(t *testing.T) {
 		if maxDelta > 1e-4 {
 			t.Fatalf("act=%v: max |logit32 - logit64| = %g, want <= 1e-4", act, maxDelta)
 		}
+
+		// The block decode: every block size up to hb's rows, each pair
+		// bit-equal to its per-pair Logit.
+		hids := blockScratch[float32](hb.Rows(), h)
+		for nb := 1; nb <= hb.Rows(); nb++ {
+			a := mat.Floats32(ha.Row(nb % ha.Rows()))
+			bs := make([][]float32, nb)
+			ts := make([]float32, nb)
+			for i := range bs {
+				bs[i], ts[i] = mat.Floats32(hb.Row(i)), float32(i%2)
+			}
+			got := make([]float64, nb)
+			pd32.LogitsInto(got, a, bs, ts, hids)
+			for i, g := range got {
+				if w := pd32.Logit(a, bs[i], ts[i], hid32); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("act=%v block %d pair %d: LogitsInto %v != Logit %v", act, nb, i, g, w)
+				}
+			}
+		}
 	}
 }
 

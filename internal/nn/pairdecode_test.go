@@ -3,6 +3,9 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"dssddi/internal/mat"
@@ -48,9 +51,53 @@ func TestPairDecoderMatchesBatchedForward(t *testing.T) {
 					t.Fatalf("workers=%d act=%v pair %d: fused %v != batched %v", workers, act, i, got, want.At(i, 0))
 				}
 			}
+
+			// The block decode: every block size up to hb's rows, each
+			// pair bit-equal to its per-pair Logit.
+			inters, hids := blockScratch[float64](hb.Rows(), d+1), blockScratch[float64](hb.Rows(), h)
+			for nb := 1; nb <= hb.Rows(); nb++ {
+				a := ha.Row(nb % ha.Rows())
+				bs := make([][]float64, nb)
+				ts := make([]float64, nb)
+				for i := range bs {
+					bs[i], ts[i] = hb.Row(i), float64(i%2)
+				}
+				got := make([]float64, nb)
+				pd.LogitsInto(got, a, bs, ts, inters, hids)
+				for i, g := range got {
+					if w := pd.Logit(a, bs[i], ts[i], interBuf, hidBuf); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("workers=%d act=%v block %d pair %d: LogitsInto %v != Logit %v", workers, act, nb, i, g, w)
+					}
+				}
+			}
 		}
 	}
 	mat.SetWorkers(0)
+}
+
+// blockScratch returns n scratch rows of width w.
+func blockScratch[T float32 | float64](n, w int) [][]T {
+	rows := make([][]T, n)
+	for i := range rows {
+		rows[i] = make([]T, w)
+	}
+	return rows
+}
+
+// TestPairDecodersScalarPath reruns the decoder tests with the vector
+// kernels off, so the block decode is proven bit-equal to the per-pair
+// one on the scalar path too. DSSDDI_SIMD is read once at start-up, so
+// the rerun takes a fresh process.
+func TestPairDecodersScalarPath(t *testing.T) {
+	if mat.SIMD() == "none" {
+		t.Skip("vector kernels already off")
+	}
+	cmd := exec.Command(os.Args[0], "-test.v", "-test.run=^TestPairDecoder(MatchesBatchedForward|32TracksOracle)$")
+	cmd.Env = append(os.Environ(), "DSSDDI_SIMD=off")
+	out, err := cmd.CombinedOutput()
+	if err != nil || strings.Count(string(out), "--- PASS") != 2 {
+		t.Fatalf("scalar rerun: %v\n%s", err, out)
+	}
 }
 
 // TestPairDecoderRejectsUnsupportedShapes pins the fallback contract.

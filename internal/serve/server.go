@@ -67,10 +67,12 @@ type Config struct {
 	MaxBatch int
 	// BatchWindow is how long a lone request waits for company before
 	// being scored solo. The zero value batches opportunistically —
-	// coalescing whatever is already queued without ever waiting — so
-	// idle-server latency is never inflated; set a small positive
-	// window (e.g. 1ms) to trade lone-request latency for bigger
-	// batches under bursty load.
+	// coalescing whatever is already queued without ever waiting. That
+	// is the right setting for the scoring engine: its work units are
+	// independent (patient, drug tile) pairs, so a batch costs the sum
+	// of its rows and holding a lone request only idles the core. A
+	// positive window parks admitted requests, which tests use to fill
+	// the admission queue.
 	BatchWindow time.Duration
 	// CacheSize is the total entries across the suggest and explain
 	// result caches (default 4096; negative disables caching).
