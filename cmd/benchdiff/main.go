@@ -39,9 +39,7 @@
 // requires the report to carry precision stats ('dssddi precision
 // -bench') and hard-fails when the f32 entry's max absolute score
 // divergence from the float64 oracle exceeds -max-abs-delta, or its
-// top-K ranking invariance drops below -min-ranking-invariance. The
-// int8-experimental entry is printed but never gated — it is the
-// proven-path experiment, not a shipped precision.
+// top-K ranking invariance drops below -min-ranking-invariance.
 //
 // Usage:
 //

@@ -47,7 +47,7 @@ func main() {
 		batchWindow = flag.Duration("batch-window", 0, "how long a lone request waits for company (0 = never wait, only batch what is already queued: a batch costs the sum of its rows, so waiting just idles the core)")
 		cacheSize   = flag.Int("cache", 4096, "result cache entries across endpoints (negative disables)")
 		defaultK    = flag.Int("default-k", 4, "suggestion list length when a request omits k")
-		precision   = flag.String("precision", "f64", "serving precision: f64 (oracle), f32 (SIMD quantized) or int8-experimental; hot reloads keep it unless the reload request names another")
+		precision   = flag.String("precision", "f64", "serving precision: f64 (oracle) or f32 (SIMD quantized); hot reloads keep it unless the reload request names another")
 		watch       = flag.Bool("watch", false, "watch the -m snapshot file and hot-reload it when it changes")
 		watchEvery  = flag.Duration("watch-interval", time.Second, "how often -watch polls the snapshot file")
 

@@ -13,8 +13,7 @@
 //	dssddi info    -m model.snap
 //	dssddi precision [-m model.snap] [-k 4] [-sample 64] [-bench BENCH_serve.json]
 //
-// The legacy single-command form (dssddi -mode eval|suggest|explain)
-// is retained and trains on every run.
+// Without a subcommand it prints the subcommand list and exits 2.
 package main
 
 import (
@@ -24,8 +23,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,12 +167,7 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	return runEval(sys)
-}
-
-func runEval(sys *dssddi.System) error {
-	data := sys.Data()
-	reports, err := sys.Evaluate(data.TestPatients(), []int{1, 2, 3, 4, 5, 6})
+	reports, err := sys.Evaluate(sys.Data().TestPatients(), []int{1, 2, 3, 4, 5, 6})
 	if err != nil {
 		return err
 	}
@@ -199,16 +191,12 @@ func cmdSuggest(args []string) error {
 	if err != nil {
 		return err
 	}
-	return runSuggest(sys, o.patient, o.k, o.alerts)
-}
-
-func runSuggest(sys *dssddi.System, patient, k int, screen bool) error {
 	data := sys.Data()
-	p := patient
+	p := o.patient
 	if p < 0 {
 		p = data.TestPatients()[0]
 	}
-	suggs, err := sys.Suggest(p, k)
+	suggs, err := sys.Suggest(p, o.k)
 	if err != nil {
 		return err
 	}
@@ -219,7 +207,7 @@ func runSuggest(sys *dssddi.System, patient, k int, screen bool) error {
 	}
 	fmt.Println()
 	var checker *alerts.Checker
-	if screen {
+	if o.alerts {
 		emb, err := sys.DrugRelationEmbeddings()
 		if err != nil {
 			return err
@@ -298,10 +286,10 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-// cmdPrecision characterizes the quantized serving precisions against
-// the float64 accuracy oracle: it scores a sample of test patients at
-// f64, f32 and int8, and reports per-precision max absolute score
-// divergence and top-K ranking invariance. With -bench it merges the
+// cmdPrecision characterizes the f32 serving precision against the
+// float64 accuracy oracle: it scores a sample of test patients at f64
+// and f32, and reports the max absolute score divergence and top-K
+// ranking invariance. With -bench it merges the
 // stats (and the active SIMD level) into an existing benchfmt report,
 // where cmd/benchdiff -precision-gate hard-fails on regressions.
 func cmdPrecision(args []string) error {
@@ -359,37 +347,33 @@ func precisionStats(sys *dssddi.System, sample, k int) ([]benchfmt.PrecisionStat
 	if err != nil {
 		return nil, err
 	}
-	var stats []benchfmt.PrecisionStats
-	for _, prec := range []string{"f32", "int8-experimental"} {
-		if err := sys.SetPrecision(prec); err != nil {
-			return nil, err
-		}
-		rows, err := sys.Scores(patients)
-		if err != nil {
-			return nil, err
-		}
-		st := benchfmt.PrecisionStats{Precision: prec, Patients: len(patients), K: k}
-		invariant := 0
-		for i, row := range rows {
-			st.Drugs = len(row)
-			for v, sc := range row {
-				if d := math.Abs(sc - oracle[i][v]); d > st.MaxAbsDelta {
-					st.MaxAbsDelta = d
-				}
-			}
-			if sliceEq(topK(row, k), topK(oracle[i], k)) {
-				invariant++
+	if err := sys.SetPrecision("f32"); err != nil {
+		return nil, err
+	}
+	rows, err := sys.Scores(patients)
+	if err != nil {
+		return nil, err
+	}
+	st := benchfmt.PrecisionStats{Precision: "f32", Patients: len(patients), K: k}
+	invariant := 0
+	for i, row := range rows {
+		st.Drugs = len(row)
+		for v, sc := range row {
+			if d := math.Abs(sc - oracle[i][v]); d > st.MaxAbsDelta {
+				st.MaxAbsDelta = d
 			}
 		}
-		if len(patients) > 0 {
-			st.RankingInvariance = float64(invariant) / float64(len(patients))
+		if sliceEq(topK(row, k), topK(oracle[i], k)) {
+			invariant++
 		}
-		stats = append(stats, st)
+	}
+	if len(patients) > 0 {
+		st.RankingInvariance = float64(invariant) / float64(len(patients))
 	}
 	if err := sys.SetPrecision("f64"); err != nil {
 		return nil, err
 	}
-	return stats, nil
+	return []benchfmt.PrecisionStats{st}, nil
 }
 
 // topK returns the indices of the k highest scores in descending score
@@ -431,100 +415,32 @@ func parseDrugs(spec string) ([]int, error) {
 	return ids, nil
 }
 
+const subcommands = "train, eval, suggest, explain, info or precision"
+
 func main() {
 	log.SetFlags(0)
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		var err error
-		switch cmd := os.Args[1]; cmd {
-		case "train":
-			err = cmdTrain(os.Args[2:])
-		case "eval":
-			err = cmdEval(os.Args[2:])
-		case "suggest":
-			err = cmdSuggest(os.Args[2:])
-		case "explain":
-			err = cmdExplain(os.Args[2:])
-		case "info":
-			err = cmdInfo(os.Args[2:])
-		case "precision":
-			err = cmdPrecision(os.Args[2:])
-		case "help", "usage":
-			fmt.Fprintln(os.Stderr, "subcommands: train, eval, suggest, explain, info, precision (or legacy -mode flags)")
-		default:
-			err = fmt.Errorf("unknown subcommand %q (want train, eval, suggest, explain, info or precision)", cmd)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
+	if len(os.Args) < 2 {
+		fmt.Fprintf(os.Stderr, "usage: dssddi <subcommand> [flags]; subcommands: %s\n", subcommands)
+		os.Exit(2)
 	}
-	legacyMain()
-}
-
-// legacyMain is the original flag-driven interface: it trains on every
-// invocation and keeps the profiling hooks.
-func legacyMain() {
-	var (
-		o          options
-		mode       = flag.String("mode", "eval", "eval | suggest | explain")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	)
-	commonFlags(flag.CommandLine, &o)
-	flag.IntVar(&o.patient, "patient", -1, "patient index for -mode suggest")
-	flag.IntVar(&o.k, "k", 3, "suggestion list length")
-	flag.StringVar(&o.drugs, "drugs", "", "comma-separated drug IDs for -mode explain")
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatalf("memprofile: %v", err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("memprofile: %v", err)
-			}
-		}()
-	}
-
-	sys, err := trainSystem(&o)
-	if err != nil {
-		log.Fatal(err)
-	}
-	switch *mode {
+	var err error
+	switch cmd := os.Args[1]; cmd {
+	case "train":
+		err = cmdTrain(os.Args[2:])
 	case "eval":
-		err = runEval(sys)
+		err = cmdEval(os.Args[2:])
 	case "suggest":
-		err = runSuggest(sys, o.patient, o.k, false)
+		err = cmdSuggest(os.Args[2:])
 	case "explain":
-		if o.drugs == "" {
-			log.Fatal("-mode explain needs -drugs, e.g. -drugs 46,47")
-		}
-		ids, perr := parseDrugs(o.drugs)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		var ex dssddi.Explanation
-		ex, err = sys.Explain(ids)
-		if err == nil {
-			fmt.Println(ex.Text)
-		}
+		err = cmdExplain(os.Args[2:])
+	case "info":
+		err = cmdInfo(os.Args[2:])
+	case "precision":
+		err = cmdPrecision(os.Args[2:])
+	case "help", "usage":
+		fmt.Fprintf(os.Stderr, "subcommands: %s\n", subcommands)
 	default:
-		log.Fatalf("unknown mode %q (want eval, suggest or explain)", *mode)
+		err = fmt.Errorf("unknown subcommand %q (want %s)", cmd, subcommands)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -311,11 +311,10 @@ func (s *System) ensureTrained() error {
 }
 
 // SetPrecision switches the serving-side numeric representation of the
-// frozen MD model: "f64" (the default and the accuracy oracle), "f32"
-// (float32 copies of the frozen state on the f32 SIMD kernels, ~half
-// the resident bytes) or "int8-experimental" (additionally row-
-// quantizes the drug-representation matrix to int8). The derivation is
-// deterministic per snapshot. It must not run concurrently with
+// frozen MD model: "f64" (the default and the accuracy oracle) or
+// "f32" (float32 copies of the frozen state on the f32 SIMD kernels,
+// half the resident bytes). The derivation is deterministic per
+// snapshot. It must not run concurrently with
 // scoring; the serving layer applies it to a freshly loaded system
 // before the epoch is published. Embeddings built at one precision are
 // rejected at another (see EmbedPatient), so callers holding
@@ -332,14 +331,13 @@ func (s *System) SetPrecision(name string) error {
 }
 
 // ValidatePrecision reports whether name is a recognized precision
-// ("", "f64", "f32", "int8-experimental") without touching any system.
+// ("", "f64", "f32") without touching any system.
 func ValidatePrecision(name string) error {
 	_, err := md.ParsePrecision(name)
 	return err
 }
 
-// Precision reports the active serving precision ("f64", "f32" or
-// "int8-experimental").
+// Precision reports the active serving precision ("f64" or "f32").
 func (s *System) Precision() string {
 	if s.mdModel == nil {
 		return md.F64.String()
@@ -494,7 +492,7 @@ func (s *System) EmbedPatient(p PatientProfile) (*PatientEmbedding, error) {
 
 // Bytes returns the resident size of the embedding's payload — the
 // per-entry term of the registry's explicit memory accounting. At
-// precision f32/int8 embeddings store only narrowed representations,
+// precision f32 embeddings store only narrowed representations,
 // so this is half the f64 figure.
 func (e *PatientEmbedding) Bytes() int {
 	if e == nil || e.emb == nil {

@@ -56,7 +56,7 @@ type ServeBench struct {
 	// server's /metricsz memory section after the run: the serving
 	// precision the entry ran at and the explicit resident byte
 	// accounting of the model blobs and registry embeddings (measured
-	// from the structures, not runtime.MemStats — so f64/f32/int8
+	// from the structures, not runtime.MemStats — so f64 and f32
 	// entries compare exactly).
 	Precision     string `json:"precision,omitempty"`
 	ModelBytes    int64  `json:"model_bytes,omitempty"`
@@ -70,7 +70,7 @@ type ServeBench struct {
 // unchanged. cmd/benchdiff -precision-gate hard-fails a report whose
 // f32 entry exceeds tolerance on either number.
 type PrecisionStats struct {
-	Precision string `json:"precision"` // "f32" or "int8-experimental"
+	Precision string `json:"precision"` // "f32"
 	Patients  int    `json:"patients"`
 	Drugs     int    `json:"drugs"`
 	K         int    `json:"k"`

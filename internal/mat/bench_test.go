@@ -95,19 +95,28 @@ func BenchmarkAddScaled(b *testing.B) {
 	}
 }
 
-// BenchmarkMulRowsInto is the layer-1 pair decode of one cold suggest
-// at the serving shape (86 drugs against a 385x384 W1), one row at a
-// time through MulRowInto and in blocks through MulRowsInto. Both
-// produce the same bits; run it at -cpu 1.
-func BenchmarkMulRowsInto(b *testing.B) {
-	const drugs, k, h = 86, 385, 384
+// BenchmarkMulRowsHadamardInto is the layer-1 pair decode of one cold
+// suggest at the serving shape (86 drugs against a 385x384 W1) at both
+// precisions, in blocks of 1, 4, 8 and 16 drugs. Run it at -cpu 1.
+func BenchmarkMulRowsHadamardInto(b *testing.B) {
+	b.Run("f64", benchMulRowsHadamard[float64])
+	b.Run("f32", benchMulRowsHadamard[float32])
+}
+
+func benchMulRowsHadamard[T Float](b *testing.B) {
+	const drugs, d, h = 86, 384, 384
 	rng := rand.New(rand.NewSource(1))
-	a := randDense(rng, drugs, k)
-	w := randDense(rng, k, h)
-	dst := New(drugs, h)
-	arows, drows := make([][]float64, drugs), make([][]float64, drugs)
-	for i := range arows {
-		arows[i], drows[i] = a.Row(i), dst.Row(i)
+	vec := func(n int) []T {
+		out := make([]T, n)
+		for i := range out {
+			out[i] = T(rng.NormFloat64())
+		}
+		return out
+	}
+	x, w, ts := vec(d), vec((d+1)*h), vec(drugs)
+	ys, dst := make([][]T, drugs), make([][]T, drugs)
+	for i := range ys {
+		ys[i], dst[i] = vec(d), make([]T, h)
 	}
 	for _, block := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("block%d", block), func(b *testing.B) {
@@ -115,11 +124,7 @@ func BenchmarkMulRowsInto(b *testing.B) {
 			for b.Loop() {
 				for lo := 0; lo < drugs; lo += block {
 					hi := min(lo+block, drugs)
-					if block == 1 {
-						MulRowInto(drows[lo], arows[lo], w)
-					} else {
-						MulRowsInto(drows[lo:hi], arows[lo:hi], w)
-					}
+					MulRowsHadamardInto(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w)
 				}
 			}
 		})

@@ -18,40 +18,18 @@ func MulRowInto(dst, arow []float64, b *Dense) {
 		panic(fmt.Sprintf("mat: MulRowInto shape mismatch dst[%d] = arow[%d] * %dx%d",
 			len(dst), len(arow), b.rows, b.cols))
 	}
+	if b.cols == 1 {
+		// Single-column b (e.g. a scalar-output decoder layer): the
+		// j-loop of every panel has one element, so vector dispatch
+		// only costs overhead. b's rows are consecutive elements of
+		// its data.
+		dst[0] = quadDot(arow, b.data)
+		return
+	}
 	for j := range dst {
 		dst[j] = 0
 	}
 	K := len(arow)
-	if b.cols == 1 {
-		// Single-column b (e.g. a scalar-output decoder layer): the
-		// j-loop of every panel has one element, so vector dispatch
-		// only costs overhead. Accumulate the identical quad grouping
-		// scalar-side; b's rows are consecutive elements of its data.
-		var s float64
-		for kb := 0; kb < K; kb += blockK {
-			ke := kb + blockK
-			if ke > K {
-				ke = K
-			}
-			panel := arow[kb:ke]
-			bcol := b.data[kb:ke]
-			k := 0
-			for ; k+3 < len(panel); k += 4 {
-				a0, a1, a2, a3 := panel[k], panel[k+1], panel[k+2], panel[k+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				s += (a0*bcol[k] + a1*bcol[k+1]) + (a2*bcol[k+2] + a3*bcol[k+3])
-			}
-			for ; k < len(panel); k++ {
-				if av := panel[k]; av != 0 {
-					s += av * bcol[k]
-				}
-			}
-		}
-		dst[0] = s
-		return
-	}
 	for kb := 0; kb < K; kb += blockK {
 		ke := kb + blockK
 		if ke > K {
@@ -76,59 +54,112 @@ func MulRowInto(dst, arow []float64, b *Dense) {
 	}
 }
 
-// MulRowsInto computes dst[i] = arows[i] * b for a block of rows. Each
-// row gets exactly the operations MulRowInto runs for it — the same
-// panels, quads, tails and zero-quad skips, in the same order — so
-// every output is bitwise identical to the per-row kernel. Only the
-// loop nesting differs: the quad loop is outermost, so each 4-row
-// slab of b is applied to every row of the block while it is still
-// cache-hot instead of being streamed once per row.
+// quadDot is MulRowInto's accumulation for a single column w: the
+// quad grouping (a0*w0 + a1*w1) + (a2*w2 + a3*w3) scalar-side, with
+// all-zero quads and zero tail elements skipped. blockK is a multiple
+// of four, so MulRowInto's panels split no quad and leave the order
+// of this flat loop unchanged.
+func quadDot(a, w []float64) float64 {
+	w = w[:len(a)]
+	var s float64
+	k := 0
+	for ; k+3 < len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		s += (a0*w[k] + a1*w[k+1]) + (a2*w[k+2] + a3*w[k+3])
+	}
+	for ; k < len(a); k++ {
+		if av := a[k]; av != 0 {
+			s += av * w[k]
+		}
+	}
+	return s
+}
+
+// MulRowsHadamardInto is the fused layer-1 projection of a pair
+// decoder, for a block of pairs sharing x:
+//
+//	dst[i] = concat(x⊙ys[i], ts[i]) * w
+//
+// with w the row-major (len(x)+1) x len(dst[i]) weight matrix. The
+// coefficients of each concatenated input row — x[k]*ys[i][k] for
+// k < d = len(x), then ts[i] — are formed on the fly, so neither the
+// Hadamard product nor the concatenation exists, and they are
+// accumulated exactly as MulRowInto accumulates that row: four rows of
+// w at a time through mulAddRows4, skipping all-zero quads (when
+// d % 4 == 3 the treatment coefficient closes the last quad), then the
+// remaining rows one at a time through mulAddRow1, skipping zero
+// coefficients. At float64 every output is therefore bitwise
+// identical to MulRowInto over the materialized row. The quad loop is
+// outermost, so each 4-row slab of w serves the whole block while it
+// is cache-hot.
 //
 // Runs entirely on the calling goroutine and allocates nothing.
-func MulRowsInto(dst, arows [][]float64, b *Dense) {
-	if len(dst) != len(arows) {
-		panic(fmt.Sprintf("mat: MulRowsInto got %d dst rows for %d input rows", len(dst), len(arows)))
+func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w []T) {
+	d, n := len(x), len(dst)
+	if len(ys) != n || len(ts) != n {
+		panic(fmt.Sprintf("mat: MulRowsHadamardInto got %d dst rows, %d y rows, %d t values", n, len(ys), len(ts)))
 	}
-	for i, arow := range arows {
-		if len(arow) != b.rows || len(dst[i]) != b.cols {
-			panic(fmt.Sprintf("mat: MulRowsInto shape mismatch dst[%d] = arow[%d] * %dx%d",
-				len(dst[i]), len(arow), b.rows, b.cols))
+	if n == 0 {
+		return
+	}
+	h := len(dst[0])
+	for i, y := range ys {
+		if len(y) != d || len(dst[i]) != h || len(w) != (d+1)*h {
+			panic(fmt.Sprintf("mat: MulRowsHadamardInto shape mismatch dst[%d] = concat(x[%d]⊙y[%d], t) * w[%d]",
+				len(dst[i]), d, len(y), len(w)))
+		}
+		clear(dst[i])
+	}
+	ks := kernelsOf[T]()
+	k := 0
+	for ; k+3 < d; k += 4 {
+		w4 := w[k*h : (k+4)*h]
+		for i, y := range ys {
+			a0, a1, a2, a3 := x[k]*y[k], x[k+1]*y[k+1], x[k+2]*y[k+2], x[k+3]*y[k+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			ks.mulAddRows4(dst[i], w4, a0, a1, a2, a3)
 		}
 	}
-	for _, row := range dst {
-		clear(row)
+	if k+3 == d {
+		w4 := w[k*h:]
+		for i, y := range ys {
+			a0, a1, a2, a3 := x[k]*y[k], x[k+1]*y[k+1], x[k+2]*y[k+2], ts[i]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			ks.mulAddRows4(dst[i], w4, a0, a1, a2, a3)
+		}
+		return
 	}
-	K := b.rows
-	for kb := 0; kb < K; kb += blockK {
-		ke := min(kb+blockK, K)
-		k := kb
-		for ; k+3 < ke; k += 4 {
-			b4 := b.data[k*b.cols : (k+4)*b.cols]
-			for i, arow := range arows {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				mulAddRows4(dst[i], b4, a0, a1, a2, a3)
+	for ; k < d; k++ {
+		wk := w[k*h : (k+1)*h]
+		for i, y := range ys {
+			if a := x[k] * y[k]; a != 0 {
+				ks.mulAddRow1(dst[i], wk, a)
 			}
 		}
-		for ; k < ke; k++ {
-			brow := b.Row(k)
-			for i, arow := range arows {
-				if av := arow[k]; av != 0 {
-					mulAddRow1(dst[i], brow, av)
-				}
-			}
+	}
+	wt := w[d*h:]
+	for i, t := range ts {
+		if t != 0 {
+			ks.mulAddRow1(dst[i], wt, t)
 		}
 	}
 }
 
-// HadamardRowInto computes dst[i] = a[i]*b[i] for plain slices — the
-// row-level form of HadamardInto, sharing its element formula (and
-// vector kernel) so fused consumers match the batched op bitwise.
-func HadamardRowInto(dst, a, b []float64) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic(fmt.Sprintf("mat: HadamardRowInto length mismatch %d vs %d vs %d", len(dst), len(a), len(b)))
+// Floats32 converts src to a fresh []float32, rounding each element to
+// the nearest representable value (IEEE round-to-nearest-even — the
+// conversion is deterministic, so the same snapshot always derives the
+// same f32 serving state).
+func Floats32(src []float64) []float32 {
+	out := make([]float32, len(src))
+	for i, v := range src {
+		out[i] = float32(v)
 	}
-	hadamardSlices(dst, a, b)
+	return out
 }

@@ -36,99 +36,117 @@ func TestMulRowIntoMatchesMatMul(t *testing.T) {
 	}
 }
 
-// TestHadamardRowIntoMatchesHadamard pins the row-level form to the
-// batched kernel.
-func TestHadamardRowIntoMatchesHadamard(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := RandNormal(rng, 3, 29, 1)
-	b := RandNormal(rng, 3, 29, 1)
-	want := Hadamard(a, b)
-	dst := make([]float64, 29)
-	for i := 0; i < 3; i++ {
-		HadamardRowInto(dst, a.Row(i), b.Row(i))
-		for j, v := range dst {
-			if math.Float64bits(v) != math.Float64bits(want.At(i, j)) {
-				t.Fatalf("row %d col %d: %v != %v", i, j, v, want.At(i, j))
+// TestMulRowsKernelsMatchPerRow checks the generic block kernel
+// MulRowsHadamardInto at both types against a per-row scalar oracle,
+// bit for bit, with the vector path on and off, at every block size
+// from 1 to 9. The oracle materializes concat(x⊙y, t) and accumulates
+// it in MulRowInto's order through the Go reference kernels; at
+// float64 it is itself checked against MulRowInto. The shapes put d
+// off the quad grid (d % 4 == 3 included, where t closes the last
+// quad) and off blockK, the widths off the eight-lane grid, and
+// include a single-column layer. Even rows of every block open with
+// an all-zero quad and end in t = 0 (in an all-zero quad when
+// d % 4 == 3), and both sit in front of an Inf weight: the zero skips must keep the Inf (and the NaN 0*Inf would
+// make) out of those rows' sums.
+func TestMulRowsKernelsMatchPerRow(t *testing.T) {
+	defer setSIMD(simdEnabled())
+	for _, simd := range []bool{true, false} {
+		setSIMD(simd)
+		for _, sh := range [][2]int{{1, 3}, {2, 5}, {3, 9}, {8, 17}, {23, 9}, {130, 33}, {383, 12}, {384, 12}, {129, 1}} {
+			checkMulRowsHadamard[float64](t, simd, sh[0], sh[1])
+			checkMulRowsHadamard[float32](t, simd, sh[0], sh[1])
+		}
+	}
+}
+
+func checkMulRowsHadamard[T Float](t *testing.T, simd bool, d, h int) {
+	t.Helper()
+	const rows = 9
+	rng := rand.New(rand.NewSource(int64(19 + d*h)))
+	vec := func(n int) []T {
+		out := make([]T, n)
+		for i, v := range randSlice(rng, n) {
+			out[i] = T(v)
+		}
+		return out
+	}
+	w := vec((d + 1) * h)
+	w[0], w[len(w)-1] = T(math.Inf(1)), T(math.Inf(-1))
+	x := vec(d)
+	ys := make([][]T, rows)
+	ts := vec(rows)
+	for i := range ys {
+		ys[i] = vec(d)
+		if i%2 == 0 {
+			clear(ys[i][:min(4, d)])
+			if d%4 == 3 { // t closes the last quad: zero all of it
+				clear(ys[i][d-3:])
+			}
+			ts[i] = 0
+		}
+	}
+	want := make([][]T, rows)
+	for i, y := range ys {
+		arow := make([]T, d+1)
+		for k := range y {
+			arow[k] = x[k] * y[k]
+		}
+		arow[d] = ts[i]
+		want[i] = make([]T, h)
+		mulRowRef(want[i], arow, w)
+		if a64, ok := any(arow).([]float64); ok {
+			per := make([]float64, h)
+			MulRowInto(per, a64, NewFrom(d+1, h, any(w).([]float64)))
+			for j, v := range per {
+				if math.Float64bits(v) != math.Float64bits(float64(want[i][j])) {
+					t.Fatalf("d=%d h=%d row %d col %d: oracle %v != MulRowInto %v", d, h, i, j, want[i][j], v)
+				}
+			}
+		}
+		for j, v := range want[i] {
+			if fv := float64(v); i%2 == 0 && (math.IsNaN(fv) || math.IsInf(fv, 0)) {
+				t.Fatalf("d=%d h=%d row %d col %d: the Inf behind a zero quad leaked in (%v)", d, h, i, j, v)
+			}
+		}
+	}
+	for nb := 1; nb <= rows; nb++ {
+		got := make([][]T, nb)
+		for i := range got {
+			got[i] = make([]T, h)
+			for j := range got[i] { // stale scratch must not leak in
+				got[i][j] = T(math.NaN())
+			}
+		}
+		MulRowsHadamardInto(got, x, ys[:nb], ts[:nb], w)
+		for i := range got {
+			for j, g := range got[i] {
+				if math.Float64bits(float64(g)) != math.Float64bits(float64(want[i][j])) {
+					t.Fatalf("%T simd=%v d=%d h=%d block %d row %d col %d: MulRowsHadamardInto %v != per-row %v",
+						g, simd, d, h, nb, i, j, g, want[i][j])
+				}
 			}
 		}
 	}
 }
 
-// TestMulRowsKernelsMatchPerRow checks both block kernels against
-// their per-row references bit for bit, with the vector path on and
-// off, at every block size from 1 to 9: MulRowsInto against
-// MulRowInto, and MulRowsHadamardInto32 (on d = K-1 with the last
-// input as t) against MulRowHadamardInto32. The shapes put K off the
-// quad and blockK grids and the widths off the eight-lane grid, and
-// include the single-column layer. Even rows of every block open with
-// an all-zero quad and end in t = 0, and both sit in front of an Inf
-// weight: the zero skips must keep the Inf (and the NaN 0*Inf would
-// make) out of those rows' sums, exactly as the per-row kernels do.
-func TestMulRowsKernelsMatchPerRow(t *testing.T) {
-	defer setSIMD(simdEnabled())
-	const rows = 9
-	for _, simd := range []bool{true, false} {
-		setSIMD(simd)
-		rng := rand.New(rand.NewSource(19))
-		for _, sh := range [][2]int{{3, 5}, {9, 17}, {131, 33}, {385, 12}, {130, 1}} {
-			K, n := sh[0], sh[1]
-			b := RandNormal(rng, K, n, 1)
-			b.Set(0, 0, math.Inf(1))
-			b.Set(K-1, n-1, math.Inf(-1))
-			b32 := Dense32From(b)
-			a := RandNormal(rng, rows, K, 1)
-			x := randSlice32(rng, K-1)
-			ys := make([][]float32, rows)
-			ts := make([]float32, rows)
-			for i := range ys {
-				ys[i] = randSlice32(rng, K-1)
-				ts[i] = float32(a.At(i, K-1))
-				if i%2 == 0 {
-					for k := 0; k < min(4, K); k++ {
-						a.Set(i, k, 0)
-						if k < K-1 {
-							ys[i][k] = 0
-						}
-					}
-					a.Set(i, K-1, 0)
-					ts[i] = 0
-				}
-			}
-			want := New(rows, n)
-			want32 := New32(rows, n)
-			for i := 0; i < rows; i++ {
-				MulRowInto(want.Row(i), a.Row(i), b)
-				MulRowHadamardInto32(want32.Row(i), x, ys[i], ts[i], b32)
-			}
-			for nb := 1; nb <= rows; nb++ {
-				arows := make([][]float64, nb)
-				got := make([][]float64, nb)
-				got32 := make([][]float32, nb)
-				for i := range arows {
-					arows[i] = a.Row(i)
-					got[i] = make([]float64, n)
-					got32[i] = make([]float32, n)
-					for j := range got[i] { // stale scratch must not leak in
-						got[i][j], got32[i][j] = math.NaN(), float32(math.NaN())
-					}
-				}
-				MulRowsInto(got, arows, b)
-				MulRowsHadamardInto32(got32, x, ys[:nb], ts[:nb], b32)
-				for i := range got {
-					for j := range got[i] {
-						w, w32 := want.At(i, j), want32.Row(i)[j]
-						if math.Float64bits(got[i][j]) != math.Float64bits(w) {
-							t.Fatalf("simd=%v K=%d n=%d block %d row %d col %d: MulRowsInto %v != MulRowInto %v", simd, K, n, nb, i, j, got[i][j], w)
-						}
-						if math.Float32bits(got32[i][j]) != math.Float32bits(w32) {
-							t.Fatalf("simd=%v d=%d h=%d block %d row %d col %d: MulRowsHadamardInto32 %v != MulRowHadamardInto32 %v", simd, K-1, n, nb, i, j, got32[i][j], w32)
-						}
-						if i%2 == 0 && (math.IsNaN(w) || math.IsInf(w, 0) || math.IsNaN(float64(w32)) || math.IsInf(float64(w32), 0)) {
-							t.Fatalf("simd=%v K=%d n=%d row %d col %d: the Inf behind a zero quad leaked in (%v, %v)", simd, K, n, i, j, w, w32)
-						}
-					}
-				}
-			}
+// mulRowRef is the per-row scalar oracle of MulRowsHadamardInto:
+// dst = arow * w accumulated in MulRowInto's order (quads with
+// all-zero skips, then a zero-skipping tail) through the Go reference
+// kernels.
+func mulRowRef[T Float](dst, arow, w []T) {
+	h := len(dst)
+	clear(dst)
+	k := 0
+	for ; k+3 < len(arow); k += 4 {
+		a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		mulAddRows4Go(dst, w[k*h:(k+4)*h], a0, a1, a2, a3)
+	}
+	for ; k < len(arow); k++ {
+		if arow[k] != 0 {
+			mulAddRow1Go(dst, w[k*h:(k+1)*h], arow[k])
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 			a := randSlice32(rng, 4)
 			dst := randSlice32(rng, n)
 			want := append([]float32(nil), dst...)
-			mulAddRows4Go32(want, b4, a[0], a[1], a[2], a[3])
+			mulAddRows4Go(want, b4, a[0], a[1], a[2], a[3])
 			dst512 := append([]float32(nil), dst...)
 			mulAddRows4AVX2F32(dst, b4, a[0], a[1], a[2], a[3])
 			for j := range dst {
@@ -55,7 +55,7 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 			b := randSlice32(rng, n)
 			dst = randSlice32(rng, n)
 			want = append(want[:0:0], dst...)
-			mulAddRow1Go32(want, b, a[0])
+			mulAddRow1Go(want, b, a[0])
 			mulAddRow1AVX2F32(dst, b, a[0])
 			for j := range dst {
 				if math.Float32bits(dst[j]) != math.Float32bits(want[j]) {
@@ -76,7 +76,7 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 				dst[4], bias[4] = float32(math.Copysign(0, -1)), float32(math.Copysign(0, -1)) // v = -0
 			}
 			want = append(want[:0:0], dst...)
-			addBiasLeakyGo32(want, bias, 0.01)
+			addBiasLeakyGo(want, bias, 0.01)
 			addBiasLeakyAVX2F32(dst, bias, 0.01)
 			for j := range dst {
 				if math.Float32bits(dst[j]) != math.Float32bits(want[j]) {
@@ -84,77 +84,5 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestMulRowHadamardInto32SIMDOnOff proves the fused pair-decode
-// projection produces identical f32 bits with the vector path forced
-// off, across shapes that hit the quad loop, the scalar tail and the
-// treatment row.
-func TestMulRowHadamardInto32SIMDOnOff(t *testing.T) {
-	if !simdEnabled() {
-		t.Skip("no vector unit on this platform")
-	}
-	rng := rand.New(rand.NewSource(13))
-	for _, sh := range [][2]int{{1, 1}, {4, 3}, {7, 9}, {24, 24}, {64, 64}, {65, 33}} {
-		d, h := sh[0], sh[1]
-		b := New32(d+1, h)
-		copy(b.data, randSlice32(rng, len(b.data)))
-		x, y := randSlice32(rng, d), randSlice32(rng, d)
-		tv := randSlice32(rng, 1)[0]
-		got := make([]float32, h)
-		want := make([]float32, h)
-		MulRowHadamardInto32(got, x, y, tv, b)
-		setSIMD(false)
-		MulRowHadamardInto32(want, x, y, tv, b)
-		setSIMD(true)
-		for j := range got {
-			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("d=%d h=%d j=%d: simd %v != scalar %v", d, h, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestQuantize8RoundTrip checks the affine row quantization: every
-// dequantized element lies within half a quantization step of the
-// original, and constant rows reconstruct exactly.
-func TestQuantize8RoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	m := New32(9, 33)
-	copy(m.data, randSlice32(rng, len(m.data)))
-	for j := range m.Row(4) {
-		m.Row(4)[j] = 2.5 // constant row
-	}
-	q := Quantize8(m)
-	deq := make([]float32, m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		q.DequantRowInto(deq, i)
-		row := m.Row(i)
-		lo, hi := row[0], row[0]
-		for _, v := range row[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		step := float64(hi-lo) / 254
-		for j, v := range row {
-			if err := math.Abs(float64(deq[j] - v)); err > step/2+1e-6 {
-				t.Fatalf("row %d col %d: dequant %v vs %v, err %g > half step %g", i, j, deq[j], v, err, step/2)
-			}
-		}
-		if i == 4 {
-			for j := range deq {
-				if deq[j] != 2.5 {
-					t.Fatalf("constant row reconstructs %v, want 2.5", deq[j])
-				}
-			}
-		}
-	}
-	if got, want := q.Bytes(), 9*33+9*8; got != want {
-		t.Fatalf("Quant8.Bytes() = %d, want %d", got, want)
 	}
 }

@@ -88,16 +88,11 @@ func dot4(a, b []float64) float64 {
 	return dot4Go(a, b)
 }
 
-// AddBiasLeakyInto computes dst[i] = leaky(dst[i] + bias[i]) in one
-// fused, branch-free vector pass — the epilogue of a linear layer
-// followed by LeakyReLU, bitwise identical to the separate bias-add
-// and activation steps.
-func AddBiasLeakyInto(dst, bias []float64, slope float64) {
-	if len(bias) < len(dst) {
-		panic("mat: AddBiasLeakyInto bias shorter than dst")
-	}
+// addBiasLeaky computes dst[i] = leaky(dst[i] + bias[i]); len(bias)
+// == len(dst).
+func addBiasLeaky(dst, bias []float64, slope float64) {
 	if useAVX2 && len(dst) > 0 {
-		addBiasLeakyAVX2(dst, bias[:len(dst)], slope)
+		addBiasLeakyAVX2(dst, bias, slope)
 		return
 	}
 	addBiasLeakyGo(dst, bias, slope)
@@ -110,6 +105,66 @@ func hadamardSlices(dst, a, b []float64) {
 		return
 	}
 	hadamardIntoGo(dst, a, b)
+}
+
+// The float32 kernels share the useAVX2/useAVX512 gates (and the
+// DSSDDI_SIMD cap) with the float64 set: one environment knob governs
+// both precisions, and every level produces identical f32 bits.
+
+//go:noescape
+func mulAddRows4AVX512F32(dst, b4 []float32, a0, a1, a2, a3 float32)
+
+//go:noescape
+func mulAddRows4AVX2F32(dst, b4 []float32, a0, a1, a2, a3 float32)
+
+//go:noescape
+func mulAddRow1AVX2F32(dst, b []float32, a float32)
+
+//go:noescape
+func dot8AVX2F32(a, b []float32) float32
+
+//go:noescape
+func addBiasLeakyAVX2F32(dst, bias []float32, slope float32)
+
+// mulAddRows432 is mulAddRows4 at float32.
+func mulAddRows432(dst, b4 []float32, a0, a1, a2, a3 float32) {
+	if len(b4) < 4*len(dst) {
+		panic("mat: mulAddRows432 needs 4*len(dst) b values")
+	}
+	switch {
+	case useAVX512 && len(dst) > 0:
+		mulAddRows4AVX512F32(dst, b4, a0, a1, a2, a3)
+	case useAVX2 && len(dst) > 0:
+		mulAddRows4AVX2F32(dst, b4, a0, a1, a2, a3)
+	default:
+		mulAddRows4Go(dst, b4, a0, a1, a2, a3)
+	}
+}
+
+// mulAddRow132 is mulAddRow1 at float32.
+func mulAddRow132(dst, b []float32, a float32) {
+	if useAVX2 && len(dst) > 0 {
+		mulAddRow1AVX2F32(dst, b[:len(dst)], a)
+		return
+	}
+	mulAddRow1Go(dst, b, a)
+}
+
+// dot8x32 is the eight-accumulator float32 dot product.
+func dot8x32(a, b []float32) float32 {
+	if useAVX2 && len(a) >= 8 {
+		return dot8AVX2F32(a, b[:len(a)])
+	}
+	return dot8Go32(a, b)
+}
+
+// addBiasLeaky32 is addBiasLeaky at float32.
+func addBiasLeaky32(dst, bias []float32, slope float32) {
+	if useAVX2 && len(dst) > 0 {
+		addBiasLeakyAVX2F32(dst, bias, slope)
+		return
+	}
+	addBiasLeakyGo(dst, bias, slope)
 }
 
 // SIMD names the active vector instruction set ("avx512", "avx2" or

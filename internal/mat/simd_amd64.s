@@ -442,8 +442,8 @@ abl_done:
 // discipline as the f64 set above (no FMA, lanes are independent
 // output elements or dot8's exact interleaved accumulators, scalar
 // tails replicate the vector grouping), with 8 float32 lanes per ymm
-// instead of 4 float64 lanes. Bitwise identical to the *Go32
-// references in simd32.go for every input.
+// instead of 4 float64 lanes. Bitwise identical to the float32
+// instances of the *Go references in simd.go for every input.
 
 // func mulAddRows4AVX2F32(dst, b4 []float32, a0, a1, a2, a3 float32)
 //
@@ -623,7 +623,7 @@ dot8f_combine:
 //
 // dst[i] = v > 0 ? v : slope*v, with v = dst[i] + bias[i]. The blend
 // selects the exact scalar-formula result per lane (including signed
-// zeros and NaNs), so this matches addBiasLeakyGo32 bit for bit.
+// zeros and NaNs), so this matches addBiasLeakyGo[float32] bit for bit.
 TEXT ·addBiasLeakyAVX2F32(SB), NOSPLIT, $0-52
 	MOVQ dst_base+0(FP), SI
 	MOVQ dst_len+8(FP), CX

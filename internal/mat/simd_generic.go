@@ -19,14 +19,20 @@ func dot4(a, b []float64) float64 { return dot4Go(a, b) }
 
 func hadamardSlices(dst, a, b []float64) { hadamardIntoGo(dst, a, b) }
 
-// AddBiasLeakyInto computes dst[i] = leaky(dst[i] + bias[i]) — the
-// fused linear-layer epilogue, scalar on this architecture.
-func AddBiasLeakyInto(dst, bias []float64, slope float64) {
-	if len(bias) < len(dst) {
-		panic("mat: AddBiasLeakyInto bias shorter than dst")
+func addBiasLeaky(dst, bias []float64, slope float64) { addBiasLeakyGo(dst, bias, slope) }
+
+func mulAddRows432(dst, b4 []float32, a0, a1, a2, a3 float32) {
+	if len(b4) < 4*len(dst) {
+		panic("mat: mulAddRows432 needs 4*len(dst) b values")
 	}
-	addBiasLeakyGo(dst, bias, slope)
+	mulAddRows4Go(dst, b4, a0, a1, a2, a3)
 }
+
+func mulAddRow132(dst, b []float32, a float32) { mulAddRow1Go(dst, b, a) }
+
+func dot8x32(a, b []float32) float32 { return dot8Go32(a, b) }
+
+func addBiasLeaky32(dst, bias []float32, slope float32) { addBiasLeakyGo(dst, bias, slope) }
 
 // SIMD names the active vector instruction set.
 func SIMD() string { return "none" }

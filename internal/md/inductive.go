@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dssddi/internal/mat"
-	"dssddi/internal/metrics"
 	"dssddi/internal/nn"
 )
 
@@ -34,7 +33,7 @@ import (
 // by the embedding and must be treated as read-only by the scoring
 // engine.
 //
-// On a quantized model (SetPrecision f32/int8) EmbedPatient stores the
+// On an f32 model (SetPrecision F32) EmbedPatient stores the
 // narrowed H32/T32 pair instead and leaves H/T nil — a registry of
 // cached embeddings then holds half the bytes — so an embedding is
 // bound to the precision of the model that built it; checkEmbedding
@@ -110,8 +109,8 @@ func (m *Model) EmbedPatient(regimen []int, features []float64) (*PatientEmbeddi
 		m.aggregateRegimen(e.H, reg)
 	}
 	e.T = m.Treatment.InferRowFor(reg, features)
-	if m.pd32 != nil {
-		// Quantized model: keep only the narrowed pair. The f64
+	if m.f32 != nil {
+		// f32 model: keep only the narrowed pair. The f64
 		// intermediates above stay the derivation path so the narrowing
 		// is exactly one rounding of the oracle's values.
 		e.H32, e.T32 = mat.Floats32(e.H), mat.Floats32(e.T)
@@ -192,7 +191,7 @@ func (m *Model) checkEmbedding(e *PatientEmbedding) {
 	if e == nil {
 		panic("md: nil PatientEmbedding")
 	}
-	if m.pd32 != nil {
+	if m.f32 != nil {
 		if e.H32 == nil {
 			panic("md: float64 PatientEmbedding scored on a quantized model; re-embed the profile")
 		}
@@ -219,36 +218,19 @@ func (m *Model) checkEmbedding(e *PatientEmbedding) {
 // the engine's parallel units agree exactly.
 func (m *Model) ScoresForInto(dst []float64, e *PatientEmbedding) {
 	m.checkEmbedding(e)
-	nD := m.Data.NumDrugs()
-	if len(dst) != nD {
-		panic(fmt.Sprintf("md: ScoresForInto dst has length %d, want %d", len(dst), nD))
+	if len(dst) != m.Data.NumDrugs() {
+		panic(fmt.Sprintf("md: ScoresForInto dst has length %d, want %d", len(dst), m.Data.NumDrugs()))
 	}
-	if m.pd == nil { // non-decomposable decoder: batched reference path
-		copy(dst, m.scoresForReference(e))
-		return
-	}
-	if m.pd32 != nil { // quantized serving representation: f32 twin
-		sc := m.getScratch()
-		copy(sc.hp32, e.H32)
-		for vLo := 0; vLo < nD; vLo += drugTile {
-			vHi := vLo + drugTile
-			if vHi > nD {
-				vHi = nD
-			}
-			m.scoreTile32(dst[vLo:vHi], sc, e.T32, vLo)
-		}
-		m.putScratch(sc)
-		return
-	}
-	hDrug := m.drugReps()
 	sc := m.getScratch()
-	copy(sc.hp, e.H)
-	for vLo := 0; vLo < nD; vLo += drugTile {
-		vHi := vLo + drugTile
-		if vHi > nD {
-			vHi = nD
-		}
-		m.scoreTile(dst[vLo:vHi], sc, hDrug, e.T, vLo)
+	if v := m.f32; v != nil {
+		b := v.block(sc)
+		copy(b.hp, e.H32)
+		v.scoreRow(dst, b, e.T32, 0)
+	} else {
+		v := m.view64()
+		b := v.block(sc)
+		copy(b.hp, e.H)
+		v.scoreRow(dst, b, e.T, 0)
 	}
 	m.putScratch(sc)
 }
@@ -266,45 +248,17 @@ func (m *Model) ScoresFor(e *PatientEmbedding) []float64 {
 // slices are the caller's to keep.
 func (m *Model) TopKScoresFor(e *PatientEmbedding, k int) (ids []int, scores []float64) {
 	m.checkEmbedding(e)
-	if m.pd == nil {
-		row := m.scoresForReference(e)
-		for _, v := range metrics.TopK(row, k) {
-			ids = append(ids, v)
-			scores = append(scores, row[v])
-		}
-		return ids, scores
-	}
-	if m.pd32 != nil { // quantized serving representation: f32 twin
-		sc := m.getScratch()
-		copy(sc.hp32, e.H32)
-		ids, scores = m.topKSelect32(sc, e.T32, k)
-		m.putScratch(sc)
-		return ids, scores
-	}
-	hDrug := m.drugReps()
 	sc := m.getScratch()
-	copy(sc.hp, e.H)
-	ids, scores = m.topKSelect(sc, hDrug, e.T, k)
+	if v := m.f32; v != nil {
+		b := v.block(sc)
+		copy(b.hp, e.H32)
+		ids, scores = v.topK(sc, b, e.T32, k)
+	} else {
+		v := m.view64()
+		b := v.block(sc)
+		copy(b.hp, e.H)
+		ids, scores = v.topK(sc, b, e.T, k)
+	}
 	m.putScratch(sc)
 	return ids, scores
-}
-
-// scoresForReference scores one embedding through the batched
-// reference path — the fallback for non-fusable decoder shapes and the
-// oracle for the engine equivalence tests.
-func (m *Model) scoresForReference(e *PatientEmbedding) []float64 {
-	hDrug := m.drugReps()
-	hP := mat.NewFrom(1, len(e.H), append([]float64(nil), e.H...))
-	nD := m.Data.NumDrugs()
-	pIdx := make([]int, nD)
-	vIdx := make([]int, nD)
-	for v := range vIdx {
-		vIdx[v] = v
-	}
-	logits := m.decodeInfer(hP, hDrug, pIdx, vIdx, column(e.T))
-	out := make([]float64, nD)
-	for v := range out {
-		out[v] = mat.Sigmoid(logits.At(v, 0))
-	}
-	return out
 }

@@ -101,22 +101,13 @@ type Model struct {
 	// decoder call (no propagation).
 	drugCache *mat.Dense
 
-	// pd is the fused pair-decode kernel over the decoder's live
-	// weights (nil when the decoder shape is not fusable, which sends
-	// scoring through the batched reference path). scratch pools the
-	// tiled engine's per-goroutine buffers; see score.go.
-	pd      *nn.PairDecoder
+	// pd is the fused pair decoder over the decoder's live weights and
+	// f32 the float32 view SetPrecision derived from the frozen model
+	// (nil at F64, dropped when Train moves the parameters). scratch
+	// pools the tiled engine's per-goroutine buffers; see score.go.
+	pd      *nn.PairDecoder[float64]
+	f32     *view[float32]
 	scratch sync.Pool
-
-	// Quantized serving representation (precision.go, score32.go):
-	// derived from the frozen f64 model by SetPrecision, all nil at
-	// F64, invalidated when Train moves the parameters. pd32 != nil is
-	// the engine's dispatch condition.
-	prec        Precision
-	pd32        *nn.PairDecoder32
-	drugCache32 *mat.Dense32
-	drugQ8      *mat.Quant8
-	trow32      [][]float32
 
 	// Lazily built inputs of the inductive patient layer (see
 	// inductive.go): the per-layer drug representations d_0..d_{L-1}
@@ -240,14 +231,6 @@ func (m *Model) epochPairs() (ps, vs []int, y, tr, cfY, cfT *mat.Dense) {
 	return
 }
 
-func column(vals []float64) *mat.Dense {
-	c := mat.New(len(vals), 1)
-	for i, v := range vals {
-		c.Set(i, 0, v)
-	}
-	return c
-}
-
 // encode runs Eqs. 9-13 on a tape: patient hidden reps (pre-propagation,
 // per the paper's anti-over-smoothing design), and final drug reps
 // including the βt layer combination and the shared DDI embeddings.
@@ -318,8 +301,7 @@ func (m *Model) Train() []float64 {
 		valEvery = 25
 	}
 	m.drugCache = nil // params are about to move; never serve stale reps
-	// The quantized representation is frozen-model state; drop it too.
-	m.prec, m.pd32, m.drugCache32, m.drugQ8, m.trow32 = F64, nil, nil, nil, nil
+	m.f32 = nil       // frozen-model state; drop it too
 	m.indMu.Lock()
 	m.indLayers, m.indDeg = nil, nil // same for the inductive layer inputs
 	m.indMu.Unlock()
@@ -471,66 +453,16 @@ func (m *Model) drugReps() *mat.Dense {
 	return m.inferDrugReps()
 }
 
-// decodeInfer is the tape-free counterpart of decode: same kernels,
-// bitwise-identical logits, no graph nodes.
-func (m *Model) decodeInfer(hPat, hDrug *mat.Dense, pIdx, vIdx []int, treatments *mat.Dense) *mat.Dense {
-	hi := hPat.GatherRows(pIdx)
-	hv := hDrug.GatherRows(vIdx)
-	inter := mat.Hadamard(hi, hv)
-	return m.decoder.Forward(mat.ConcatCols(inter, treatments))
-}
-
 // Scores predicts medication-use probabilities for the given GLOBAL
 // patient indices (typically validation or test patients), returning a
 // (len(patients) x drugs) matrix. Treatments for unobserved patients
 // come from Treatment.InferRow. The whole path is tape-free and runs
 // on the tiled fused engine in score.go — no autodiff machinery, no
 // pair-matrix materialization — and is bitwise identical to the
-// batched reference path below for any worker count.
+// batched reference path (reference_test.go) for any worker count.
 func (m *Model) Scores(patients []int) *mat.Dense {
 	out := mat.New(len(patients), m.Data.NumDrugs())
 	m.ScoresInto(out, patients)
-	return out
-}
-
-// scoresReference is the batched scoring path the fused engine
-// replaced: gather, Hadamard and concat matrices over every
-// (patient, drug) pair, then one decoder forward. It remains as the
-// equivalence oracle for the engine (score_test.go) and as the
-// fallback for non-fusable decoder shapes.
-func (m *Model) scoresReference(patients []int) *mat.Dense {
-	hDrug := m.drugReps()
-	// Patient reps for the queried patients (Eq. 9 on their features).
-	x := m.Data.Rows(patients)
-	hP := m.fcPat.Forward(x)
-
-	nD := m.Data.NumDrugs()
-	out := mat.New(len(patients), nD)
-	// Score all drugs for all query patients in one batch. Treatment
-	// inference is independent per patient, so it fans out across the
-	// worker pool, filling the flat pair slices directly.
-	pIdx := make([]int, len(patients)*nD)
-	vIdx := make([]int, len(patients)*nD)
-	tvals := make([]float64, len(patients)*nD)
-	par.For(len(patients), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			trow := m.Treatment.inferRowShared(x.Row(i))
-			base := i * nD
-			for v := 0; v < nD; v++ {
-				pIdx[base+v] = i
-				vIdx[base+v] = v
-				tvals[base+v] = trow[v]
-			}
-		}
-	})
-	logits := m.decodeInfer(hP, hDrug, pIdx, vIdx, column(tvals))
-	// Each logit row targets a distinct (patient, drug) cell, so the
-	// sigmoid fill partitions cleanly across workers.
-	par.For(logits.Rows(), 4096, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			out.Set(pIdx[r], vIdx[r], mat.Sigmoid(logits.At(r, 0)))
-		}
-	})
 	return out
 }
 

@@ -2,6 +2,7 @@ package md
 
 import (
 	"fmt"
+	"unsafe"
 
 	"dssddi/internal/mat"
 	"dssddi/internal/nn"
@@ -9,11 +10,10 @@ import (
 
 // This file is the precision control of the serving engine. The f64
 // model is always the source of truth and the accuracy oracle; the f32
-// and int8 representations are derived from it deterministically (IEEE
-// round-to-nearest-even, per-row affine quantization) and can be
-// rebuilt or dropped at any time without touching the trained
-// parameters. Scoring dispatches on the derived state: pd32 != nil
-// routes every engine entry point through score32.go.
+// view is derived from it deterministically (IEEE round-to-nearest-
+// even) and can be rebuilt or dropped at any time without touching
+// the trained parameters. Every engine entry point scores through the
+// f32 view when one is set, else through the f64 view.
 
 // Precision selects the serving-side numeric representation of the
 // frozen model.
@@ -24,28 +24,18 @@ const (
 	F64 Precision = iota
 	// F32 scores through float32 copies of the frozen drug
 	// representations, treatment rows and decoder, on the eight-lane
-	// f32 SIMD kernels. Roughly half the resident bytes of F64; the
-	// divergence from the oracle is characterized and gated (see
-	// precision_test.go and benchdiff -precision-gate).
+	// f32 SIMD kernels. Half the resident bytes of F64; the divergence
+	// from the oracle is characterized and gated (see precision_test.go
+	// and benchdiff -precision-gate).
 	F32
-	// Int8 additionally stores the drug-representation matrix
-	// row-quantized to int8 with a per-row affine (scale, offset),
-	// dequantizing one row at a time into scratch before the f32
-	// kernels. Experimental: ~1/4 the f32 drug-matrix bytes, larger
-	// divergence.
-	Int8
 )
 
 // String returns the flag spelling of the precision.
 func (p Precision) String() string {
-	switch p {
-	case F32:
+	if p == F32 {
 		return "f32"
-	case Int8:
-		return "int8-experimental"
-	default:
-		return "f64"
 	}
+	return "f64"
 }
 
 // ParsePrecision maps a -precision flag value to a Precision.
@@ -55,55 +45,46 @@ func ParsePrecision(s string) (Precision, error) {
 		return F64, nil
 	case "f32":
 		return F32, nil
-	case "int8-experimental":
-		return Int8, nil
 	}
-	return F64, fmt.Errorf("md: unknown precision %q (want f64, f32 or int8-experimental)", s)
+	return F64, fmt.Errorf("md: unknown precision %q (want f64 or f32)", s)
 }
 
-// SetPrecision derives (or drops, for F64) the quantized serving
-// representation of the frozen model: float32 copies of the final drug
-// representations, the per-cluster treatment rows and the fused
-// decoder, plus the int8 row-quantized drug matrix when p is Int8. The
-// derivation is deterministic, so a given snapshot always yields the
-// same blobs. It must not run concurrently with scoring — the serving
-// layer applies it to a freshly loaded model before publishing the
-// epoch, which also makes a hot reload switch precision atomically.
-// Training invalidates the derived state (back to F64). Re-requesting
-// the active precision is a read-only no-op, so re-publishing a system
-// that is still serving an older epoch at the same precision never
-// writes fields that epoch's in-flight requests are reading.
+// SetPrecision derives (or drops, for F64) the f32 view of the frozen
+// model: float32 copies of the final drug representations, the
+// per-cluster treatment rows and the fused decoder. The derivation is
+// deterministic, so a given snapshot always yields the same view. It
+// must not run concurrently with scoring — the serving layer applies
+// it to a freshly loaded model before publishing the epoch, which also
+// makes a hot reload switch precision atomically. Training drops the
+// view (back to F64). Re-requesting the active precision is a
+// read-only no-op, so re-publishing a system that is still serving an
+// older epoch at the same precision never writes fields that epoch's
+// in-flight requests are reading.
 func (m *Model) SetPrecision(p Precision) error {
-	if p == m.prec {
+	switch {
+	case p == m.Precision():
 		return nil
-	}
-	if p == F64 {
-		m.prec, m.pd32, m.drugCache32, m.drugQ8, m.trow32 = F64, nil, nil, nil, nil
+	case p == F64:
+		m.f32 = nil
 		return nil
-	}
-	if m.pd == nil {
-		return fmt.Errorf("md: precision %v needs a fusable decoder (this model scores through the batched reference path)", p)
-	}
-	if m.drugCache == nil {
+	case m.drugCache == nil:
 		return fmt.Errorf("md: precision %v needs a frozen model — train to completion or load a snapshot first", p)
 	}
-	d32 := mat.Dense32From(m.drugCache)
-	trow32 := make([][]float32, len(m.Treatment.clusterRow))
+	trows := make([][]float32, len(m.Treatment.clusterRow))
 	for c, r := range m.Treatment.clusterRow {
-		trow32[c] = mat.Floats32(r)
+		trows[c] = mat.Floats32(r)
 	}
-	pd32 := nn.NewPairDecoder32(m.pd)
-	if p == Int8 {
-		m.drugQ8, m.drugCache32 = mat.Quantize8(d32), nil
-	} else {
-		m.drugCache32, m.drugQ8 = d32, nil
-	}
-	m.trow32, m.pd32, m.prec = trow32, pd32, p
+	m.f32 = &view[float32]{nn.NewPairDecoder32(m.pd), mat.Floats32(m.drugCache.Data()), trows}
 	return nil
 }
 
 // Precision reports the active serving precision.
-func (m *Model) Precision() Precision { return m.prec }
+func (m *Model) Precision() Precision {
+	if m.f32 != nil {
+		return F32
+	}
+	return F64
+}
 
 // ResidentModelBytes returns the explicit resident byte count of the
 // active serving representation — the frozen drug representations, the
@@ -111,27 +92,17 @@ func (m *Model) Precision() Precision { return m.prec }
 // precision. This is the accounting /metricsz and the bench reports
 // record: measured from the blobs themselves, not from runtime.MemStats.
 func (m *Model) ResidentModelBytes() int {
-	var b int
-	switch {
-	case m.drugQ8 != nil:
-		b = m.drugQ8.Bytes() + m.pd32.Bytes()
-		for _, r := range m.trow32 {
-			b += 4 * len(r)
-		}
-	case m.drugCache32 != nil:
-		b = m.drugCache32.Bytes() + m.pd32.Bytes()
-		for _, r := range m.trow32 {
-			b += 4 * len(r)
-		}
-	default:
-		h := m.drugReps()
-		b = 8 * h.Rows() * h.Cols()
-		if m.pd != nil {
-			b += m.pd.Bytes()
-		}
-		for _, r := range m.Treatment.clusterRow {
-			b += 8 * len(r)
-		}
+	if m.f32 != nil {
+		return m.f32.bytes()
 	}
-	return b
+	v := m.view64()
+	return v.bytes()
+}
+
+func (v *view[T]) bytes() int {
+	n := len(v.drugs)
+	for _, r := range v.trows {
+		n += len(r)
+	}
+	return int(unsafe.Sizeof(T(0)))*n + v.pd.Bytes()
 }

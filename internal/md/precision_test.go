@@ -28,7 +28,7 @@ func TestParsePrecision(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Precision
-	}{{"", F64}, {"f64", F64}, {"f32", F32}, {"int8-experimental", Int8}} {
+	}{{"", F64}, {"f64", F64}, {"f32", F32}} {
 		got, err := ParsePrecision(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", tc.in, got, err)
@@ -37,16 +37,17 @@ func TestParsePrecision(t *testing.T) {
 			t.Fatalf("Precision(%v).String() = %q, want %q", got, got.String(), tc.in)
 		}
 	}
-	if _, err := ParsePrecision("fp16"); err == nil {
-		t.Fatal("ParsePrecision accepted an unknown precision")
+	for _, bad := range []string{"fp16", "int8-experimental"} {
+		if _, err := ParsePrecision(bad); err == nil {
+			t.Fatalf("ParsePrecision accepted unknown precision %q", bad)
+		}
 	}
 }
 
-// TestQuantizedScoresTrackOracle characterizes the quantized engines
-// against the f64 oracle: max absolute score divergence stays inside
-// the per-precision tolerance at both worker counts, and every f32
-// entry point (Scores, ScoresInto, ScoresRowsInto) produces the same
-// bits as the others.
+// TestQuantizedScoresTrackOracle characterizes the f32 engine against
+// the f64 oracle: max absolute score divergence stays inside the
+// tolerance at both worker counts, and every f32 entry point (Scores,
+// ScoresInto, ScoresRowsInto) produces the same bits as the others.
 func TestQuantizedScoresTrackOracle(t *testing.T) {
 	m := trainedScoreModel(t)
 	d := m.Data
@@ -56,7 +57,7 @@ func TestQuantizedScoresTrackOracle(t *testing.T) {
 	for _, tc := range []struct {
 		prec Precision
 		tol  float64
-	}{{F32, 1e-4}, {Int8, 0.3}} {
+	}{{F32, 1e-4}} {
 		withPrecision(t, m, tc.prec)
 		var serial *mat.Dense
 		for _, workers := range []int{1, 4} {
@@ -208,9 +209,9 @@ func TestPrecisionMismatchedEmbeddingPanics(t *testing.T) {
 	m.ScoresFor(e32)
 }
 
-// TestResidentModelBytesHalves pins the explicit byte accounting: every
-// f64 term narrows to exactly half at f32, and the int8 representation
-// shrinks the drug matrix ~4x below its f32 size.
+// TestResidentModelBytesHalves pins the explicit byte accounting: the
+// f32 view holds every f64 term — drug representations, treatment rows
+// and decoder — at exactly half the bytes.
 func TestResidentModelBytesHalves(t *testing.T) {
 	m := trainedScoreModel(t)
 	b64 := m.ResidentModelBytes()
@@ -219,16 +220,12 @@ func TestResidentModelBytesHalves(t *testing.T) {
 	if b64 != 2*b32 {
 		t.Fatalf("ResidentModelBytes f64 = %d, f32 = %d; want exactly 2x", b64, b32)
 	}
-	drug32 := m.drugCache32.Bytes()
-	if err := m.SetPrecision(Int8); err != nil {
-		t.Fatal(err)
+	if got, want := m.f32.pd.Bytes(), m.pd.Bytes()/2; got != want {
+		t.Fatalf("f32 decoder %d bytes, want half of f64's %d", got, 2*want)
 	}
-	b8 := m.ResidentModelBytes()
-	if b8 >= b32 {
-		t.Fatalf("int8 resident bytes %d not below f32 %d", b8, b32)
-	}
-	if q := m.drugQ8.Bytes(); q > drug32/3 {
-		t.Fatalf("int8 drug matrix %d bytes, f32 %d — want ~4x smaller", q, drug32)
+	if len(m.f32.drugs) != len(m.drugCache.Data()) || len(m.f32.trows) != len(m.Treatment.clusterRow) {
+		t.Fatalf("f32 view holds %d drug values and %d treatment rows, want %d and %d",
+			len(m.f32.drugs), len(m.f32.trows), len(m.drugCache.Data()), len(m.Treatment.clusterRow))
 	}
 }
 
@@ -268,11 +265,11 @@ func TestTrainInvalidatesPrecision(t *testing.T) {
 	if err := m.SetPrecision(F32); err != nil {
 		t.Fatal(err)
 	}
-	if m.Precision() != F32 || m.pd32 == nil {
+	if m.Precision() != F32 || m.f32 == nil || m.f32.pd == nil || m.f32.drugs == nil || m.f32.trows == nil {
 		t.Fatal("SetPrecision(F32) did not take")
 	}
 	m.Train()
-	if m.Precision() != F64 || m.pd32 != nil || m.drugCache32 != nil || m.trow32 != nil {
-		t.Fatal("Train left stale quantized state")
+	if m.Precision() != F64 || m.f32 != nil {
+		t.Fatal("Train left a stale f32 view")
 	}
 }

@@ -6,34 +6,42 @@ import (
 
 	"dssddi/internal/mat"
 	"dssddi/internal/metrics"
+	"dssddi/internal/nn"
 	"dssddi/internal/par"
 )
 
 // This file is the tiled, fused scoring engine — the cold path behind
-// Scores, ScoresInto, ScoresRowsInto and TopKScores.
+// Scores, ScoresInto, ScoresRowsInto, TopKScores, ScoresForInto and
+// TopKScoresFor — written once over the serving precision T.
 //
-// The batched reference path (scoresReference in mdgcn.go) scores P
-// patients against nD drugs by materializing three (P·nD × dim)
-// intermediates — gathered patient rows, gathered drug rows and their
-// Hadamard product — plus a (P·nD × dim+1) concatenation, before a
-// single decoder forward. The engine instead walks (patient, drug
-// tile) units and decodes each tile pairBlock drugs at a time through
-// nn.PairDecoder.LogitsInto: a block of dim+1 scratch rows replaces
-// all four matrices, so peak memory is O(block) instead of
-// O(P·nD·dim) and the steady state allocates nothing (scratch is
-// pooled and reused across calls).
+// The batched reference path (scoresReference in reference_test.go)
+// scores P patients against nD drugs by materializing three
+// (P·nD × dim) intermediates — gathered patient rows, gathered drug
+// rows and their Hadamard product — plus a (P·nD × dim+1)
+// concatenation, before a single decoder forward. The engine instead
+// walks (patient, drug tile) units and decodes each tile pairBlock
+// drugs at a time through nn.PairDecoder.LogitsInto: a block of
+// scratch rows replaces all four matrices, so peak memory is O(block)
+// instead of O(P·nD·dim) and the steady state allocates nothing
+// (scratch is pooled and reused across calls).
 //
 // The decoder's layer-1 weight matrix W1 ((dim+1) × hidden, 1.2 MB of
 // float64 at hidden 384) is the largest operand a pair touches. A
 // block decode streams it once per block instead of once per drug, so
 // each 4-row slab of W1 serves every drug of the block from L1.
 //
-// Every pair's value is bitwise identical to the reference path for
-// any worker count and any block size: the block kernel runs each
-// pair's per-element accumulation in exactly the order the batched
-// kernels do (see mat.MulRowsInto and nn.PairDecoder), units partition
+// At float64 every pair's value is bitwise identical to the reference
+// path for any worker count and any block size: the block kernel runs
+// each pair's accumulation in exactly the order the batched kernels do
+// (see mat.MulRowsHadamardInto and nn.PairDecoder), units partition
 // the output disjointly, and the equivalence tests in score_test.go
-// enforce it.
+// enforce it. At float32 there is no bitwise guarantee against the
+// reference; the f32 view is characterized against the f64 oracle by
+// max absolute score divergence and top-k ranking invariance
+// (precision_test.go, benchdiff -precision-gate). The patient encoder
+// runs in float64 at both precisions (one ForwardRow per patient, a
+// sliver of a cold request's work) and logits come back as float64, so
+// the selector, the sigmoid and every caller-visible type are shared.
 
 // drugTile is the drug-tile width of the scoring engine: the unit of
 // work the pool hands out (so a lone patient still fans out across
@@ -50,34 +58,46 @@ const drugTile = 64
 // rows alone fill L1, no faster.
 const pairBlock = 8
 
+// view is one precision's frozen scoring state: the fused pair
+// decoder, the final drug representations (NumDrugs rows of d,
+// row-major) and the per-cluster treatment rows. The f64 view wraps
+// the live model — drugReps() and Treatment.clusterRow, unchanged —
+// and is rebuilt per call, since validation scoring runs mid-training
+// when drugReps recomputes; SetPrecision derives the f32 view once.
+type view[T mat.Float] struct {
+	pd    *nn.PairDecoder[T]
+	drugs []T
+	trows [][]T
+}
+
+func (m *Model) view64() view[float64] {
+	return view[float64]{m.pd, m.drugReps().Data(), m.Treatment.clusterRow}
+}
+
 // scoreScratch is the per-goroutine working set of the engine: the
-// patient hidden representation, the encoder ping-pong buffers, one
-// score tile, a top-k selection and the block decoder's scratch.
+// float64 patient encoder's output and ping-pong buffers, one score
+// tile, a top-k selection and the block decoder's scratch at each
+// precision (sized the first time a scratch meets that precision).
 type scoreScratch struct {
 	hp   []float64
 	buf1 []float64
 	buf2 []float64
 	tile []float64
 	sel  metrics.Selector
-
-	// f64 block decoder scratch (pairBlock rows each): interaction
-	// rows, hidden rows and the block's drug-row headers.
-	inter [][]float64
-	hid   [][]float64
-	drows [][]float64
-
-	// f32 working set (score32.go): the narrowed patient hidden
-	// representation, the f32 block decoder scratch and, on the int8
-	// path, the block's dequantized drug rows.
-	hp32    []float32
-	hid32   [][]float32
-	drows32 [][]float32
-	deq     [][]float32
+	b64  blockScratch[float64]
+	b32  blockScratch[float32]
 }
 
-// getScratch returns a pooled scratch with the working set of the
-// model's active precision; each part is sized the first time a
-// scratch meets a model that needs it.
+// blockScratch is the block decoder's working set at one precision:
+// the patient hidden representation, pairBlock layer-1 rows and the
+// block's drug-row headers.
+type blockScratch[T mat.Float] struct {
+	hp    []T
+	hid   [][]T
+	drows [][]T
+}
+
+// getScratch returns a pooled scratch.
 func (m *Model) getScratch() *scoreScratch {
 	sc, _ := m.scratch.Get().(*scoreScratch)
 	if sc == nil {
@@ -89,51 +109,109 @@ func (m *Model) getScratch() *scoreScratch {
 			tile: make([]float64, drugTile),
 		}
 	}
-	switch {
-	case m.pd32 == nil:
-		if sc.hid == nil {
-			d, h := m.pd.Dims()
-			sc.inter, sc.hid = blockRows[float64](d+1), blockRows[float64](h)
-			sc.drows = make([][]float64, pairBlock)
-		}
-	case sc.hid32 == nil:
-		_, h := m.pd32.Dims()
-		sc.hp32 = make([]float32, len(sc.hp))
-		sc.hid32 = blockRows[float32](h)
-		sc.drows32 = make([][]float32, pairBlock)
-	}
-	if m.drugQ8 != nil && sc.deq == nil {
-		d, _ := m.pd32.Dims()
-		sc.deq = blockRows[float32](d)
-	}
 	return sc
 }
 
-// blockRows returns pairBlock rows of n elements over one backing
-// array.
-func blockRows[T float32 | float64](n int) [][]T {
-	back := make([]T, pairBlock*n)
-	rows := make([][]T, pairBlock)
-	for i := range rows {
-		rows[i] = back[i*n : (i+1)*n : (i+1)*n]
+func (m *Model) putScratch(sc *scoreScratch) { m.scratch.Put(sc) }
+
+// block returns sc's block scratch at T, sized on first use.
+func (v *view[T]) block(sc *scoreScratch) *blockScratch[T] {
+	var b any = &sc.b64
+	if _, f32 := any((*T)(nil)).(*float32); f32 {
+		b = &sc.b32
 	}
-	return rows
+	bs := b.(*blockScratch[T])
+	if bs.hid == nil {
+		d, h := v.pd.Dims()
+		back := make([]T, pairBlock*h)
+		bs.hid = make([][]T, pairBlock)
+		for i := range bs.hid {
+			bs.hid[i] = back[i*h : (i+1)*h : (i+1)*h]
+		}
+		bs.hp, bs.drows = make([]T, d), make([][]T, pairBlock)
+	}
+	return bs
 }
 
-func (m *Model) putScratch(sc *scoreScratch) { m.scratch.Put(sc) }
+// encode runs the float64 patient encoder on dataset row patient,
+// narrows its output into b.hp and returns the patient's treatment
+// row (their nearest cluster's).
+func (v *view[T]) encode(m *Model, sc *scoreScratch, b *blockScratch[T], patient int) []T {
+	x := m.Data.X.Row(patient)
+	m.fcPat.ForwardRow(sc.hp, x, sc.buf1, sc.buf2)
+	for i, h := range sc.hp {
+		b.hp[i] = T(h)
+	}
+	return v.trows[m.Treatment.NearestCluster(x)]
+}
+
+// logitTile writes the logits of drugs [vLo, vLo+len(dst)) for the
+// patient whose hidden representation is in b.hp, decoding pairBlock
+// drugs at a time. The top-k path uses it directly, so drugs that
+// provably cannot enter the selection never pay for an exp.
+func (v *view[T]) logitTile(dst []float64, b *blockScratch[T], trow []T, vLo int) {
+	d, _ := v.pd.Dims()
+	for o := 0; o < len(dst); o += pairBlock {
+		blk := dst[o:min(o+pairBlock, len(dst))]
+		v0 := vLo + o
+		drows := b.drows[:len(blk)]
+		for i := range drows {
+			drows[i] = v.drugs[(v0+i)*d : (v0+i+1)*d]
+		}
+		v.pd.LogitsInto(blk, b.hp, drows, trow[v0:v0+len(blk)], b.hid)
+	}
+}
+
+// scoreRow writes the sigmoid scores of drugs [vLo, vLo+len(dst)) for
+// the patient in b.hp, tile by tile.
+func (v *view[T]) scoreRow(dst []float64, b *blockScratch[T], trow []T, vLo int) {
+	for o := 0; o < len(dst); o += drugTile {
+		tile := dst[o:min(o+drugTile, len(dst))]
+		v.logitTile(tile, b, trow, vLo+o)
+		for i, logit := range tile {
+			tile[i] = mat.Sigmoid(logit)
+		}
+	}
+}
+
+// topK streams drug tiles for the patient in b.hp, folding logits into
+// a size-k selection.
+func (v *view[T]) topK(sc *scoreScratch, b *blockScratch[T], trow []T, k int) (ids []int, scores []float64) {
+	sc.sel.Reset(k)
+	nD := len(trow)
+	for vLo := 0; vLo < nD; vLo += drugTile {
+		tile := sc.tile[:min(vLo+drugTile, nD)-vLo]
+		v.logitTile(tile, b, trow, vLo)
+		for i, logit := range tile {
+			// The selection ranks sigmoid scores, but the sigmoid is
+			// monotone non-decreasing, so a logit at or below the k-th
+			// retained item's logit (carried as the selector aux value)
+			// cannot displace anything — skip its exp entirely. Ranks
+			// and retained score bits are unchanged: every retained
+			// item's score is still mat.Sigmoid of its logit.
+			if sc.sel.Full() && logit <= sc.sel.LastAux() {
+				continue
+			}
+			sc.sel.PushAux(vLo+i, mat.Sigmoid(logit), logit)
+		}
+	}
+	return sc.sel.AppendTo(nil, nil)
+}
 
 // scoreTask carries one scoring invocation through the worker pool.
 // Work units are (patient, drug tile) pairs, so a lone patient still
 // fans out across cores; each unit owns a disjoint slice of its
 // output row, keeping any partition bitwise identical. hdr is the
 // task-owned row-header buffer ScoresInto builds its destination
-// views in, reused across calls.
+// views in, reused across calls. v32 is the model's f32 view, or nil
+// to score through v64.
 type scoreTask struct {
 	m        *Model
 	patients []int
 	rows     [][]float64
 	hdr      [][]float64
-	hDrug    *mat.Dense
+	v64      view[float64]
+	v32      *view[float32]
 	tiles    int
 }
 
@@ -141,52 +219,29 @@ var scoreTaskPool = sync.Pool{New: func() any { return new(scoreTask) }}
 
 // Chunk implements par.Worker.
 func (t *scoreTask) Chunk(lo, hi int) {
-	if t.m.pd32 != nil { // quantized serving representation: f32 twin
-		t.chunk32(lo, hi)
-		return
-	}
 	sc := t.m.getScratch()
-	nD := t.m.Data.NumDrugs()
-	cur := -1 // a patient's tiles are contiguous in u: encode once, score many
-	var trow []float64
-	for u := lo; u < hi; u++ {
-		if pi := u / t.tiles; pi != cur {
-			cur = pi
-			x := t.m.Data.X.Row(t.patients[pi])
-			t.m.fcPat.ForwardRow(sc.hp, x, sc.buf1, sc.buf2)
-			trow = t.m.Treatment.inferRowShared(x)
-		}
-		vLo := (u % t.tiles) * drugTile
-		vHi := vLo + drugTile
-		if vHi > nD {
-			vHi = nD
-		}
-		t.m.scoreTile(t.rows[cur][vLo:vHi], sc, t.hDrug, trow, vLo)
+	if t.v32 != nil {
+		t.v32.chunk(t, sc, lo, hi)
+	} else {
+		t.v64.chunk(t, sc, lo, hi)
 	}
 	t.m.putScratch(sc)
 }
 
-// scoreTile scores drugs [vLo, vLo+len(dst)) for the patient whose
-// hidden representation is in sc.hp, writing sigmoid scores into dst.
-func (m *Model) scoreTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, trow []float64, vLo int) {
-	m.logitTile(dst, sc, hDrug, trow, vLo)
-	for i, logit := range dst {
-		dst[i] = mat.Sigmoid(logit)
-	}
-}
-
-// logitTile is scoreTile without the sigmoid — the top-k path defers
-// it so drugs that provably cannot enter the selection never pay for
-// an exp. It decodes the tile pairBlock drugs at a time.
-func (m *Model) logitTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, trow []float64, vLo int) {
-	for b := 0; b < len(dst); b += pairBlock {
-		blk := dst[b:min(b+pairBlock, len(dst))]
-		v0 := vLo + b
-		drows := sc.drows[:len(blk)]
-		for i := range drows {
-			drows[i] = hDrug.Row(v0 + i)
+// chunk scores units [lo, hi) of t, encoding each patient once for
+// all of its (contiguous) tiles.
+func (v *view[T]) chunk(t *scoreTask, sc *scoreScratch, lo, hi int) {
+	b := v.block(sc)
+	nD := t.m.Data.NumDrugs()
+	cur := -1
+	var trow []T
+	for u := lo; u < hi; u++ {
+		if pi := u / t.tiles; pi != cur {
+			cur = pi
+			trow = v.encode(t.m, sc, b, t.patients[pi])
 		}
-		m.pd.LogitsInto(blk, sc.hp, drows, trow[v0:v0+len(blk)], sc.inter, sc.hid)
+		vLo := (u % t.tiles) * drugTile
+		v.scoreRow(t.rows[cur][vLo:min(vLo+drugTile, nD)], b, trow, vLo)
 	}
 }
 
@@ -194,14 +249,17 @@ func (m *Model) logitTile(dst []float64, sc *scoreScratch, hDrug *mat.Dense, tro
 // task. rows[i] must have length NumDrugs.
 func (m *Model) runScore(t *scoreTask, rows [][]float64, patients []int) {
 	if len(patients) > 0 {
-		t.m, t.patients, t.rows, t.hDrug = m, patients, rows, m.drugReps()
+		t.m, t.patients, t.rows = m, patients, rows
+		if t.v32 = m.f32; t.v32 == nil {
+			t.v64 = m.view64()
+		}
 		t.tiles = (m.Data.NumDrugs() + drugTile - 1) / drugTile
 		par.Run(len(patients)*t.tiles, 1, t)
 	}
 	for i := range t.hdr {
 		t.hdr[i] = nil // keep the pooled header buffer, drop what it pointed at
 	}
-	t.m, t.patients, t.rows, t.hDrug = nil, nil, nil, nil
+	t.m, t.patients, t.rows, t.v64, t.v32 = nil, nil, nil, view[float64]{}, nil
 	scoreTaskPool.Put(t)
 }
 
@@ -212,10 +270,6 @@ func (m *Model) ScoresInto(dst *mat.Dense, patients []int) {
 	if dst.Rows() != len(patients) || dst.Cols() != m.Data.NumDrugs() {
 		panic(fmt.Sprintf("md: ScoresInto shape mismatch dst %dx%d for %d patients x %d drugs",
 			dst.Rows(), dst.Cols(), len(patients), m.Data.NumDrugs()))
-	}
-	if m.pd == nil { // non-decomposable decoder: batched reference path
-		dst.CopyFrom(m.scoresReference(patients))
-		return
 	}
 	t := scoreTaskPool.Get().(*scoreTask)
 	hdr := t.hdr[:0]
@@ -240,13 +294,6 @@ func (m *Model) ScoresRowsInto(rows [][]float64, patients []int) {
 			panic(fmt.Sprintf("md: ScoresRowsInto row %d has length %d, want %d", i, len(r), nD))
 		}
 	}
-	if m.pd == nil {
-		ref := m.scoresReference(patients)
-		for i, r := range rows {
-			copy(r, ref.Row(i))
-		}
-		return
-	}
 	m.runScore(scoreTaskPool.Get().(*scoreTask), rows, patients)
 }
 
@@ -258,52 +305,15 @@ func (m *Model) ScoresRowsInto(rows [][]float64, patients []int) {
 // bits; only the full-row materialization is gone. The returned
 // slices are the caller's to keep.
 func (m *Model) TopKScores(patient, k int) (ids []int, scores []float64) {
-	if m.pd == nil {
-		row := m.scoresReference([]int{patient}).Row(0)
-		for _, v := range metrics.TopK(row, k) {
-			ids = append(ids, v)
-			scores = append(scores, row[v])
-		}
-		return ids, scores
-	}
-	if m.pd32 != nil { // quantized serving representation: f32 twin
-		return m.topKScores32(patient, k)
-	}
-	hDrug := m.drugReps()
 	sc := m.getScratch()
-	x := m.Data.X.Row(patient)
-	m.fcPat.ForwardRow(sc.hp, x, sc.buf1, sc.buf2)
-	trow := m.Treatment.inferRowShared(x)
-	ids, scores = m.topKSelect(sc, hDrug, trow, k)
+	if v := m.f32; v != nil {
+		b := v.block(sc)
+		ids, scores = v.topK(sc, b, v.encode(m, sc, b, patient), k)
+	} else {
+		v := m.view64()
+		b := v.block(sc)
+		ids, scores = v.topK(sc, b, v.encode(m, sc, b, patient), k)
+	}
 	m.putScratch(sc)
 	return ids, scores
-}
-
-// topKSelect streams drug tiles for the patient whose hidden
-// representation is in sc.hp, folding logits into a size-k selection —
-// the shared tail of TopKScores and TopKScoresFor.
-func (m *Model) topKSelect(sc *scoreScratch, hDrug *mat.Dense, trow []float64, k int) (ids []int, scores []float64) {
-	sc.sel.Reset(k)
-	nD := m.Data.NumDrugs()
-	for vLo := 0; vLo < nD; vLo += drugTile {
-		vHi := vLo + drugTile
-		if vHi > nD {
-			vHi = nD
-		}
-		tile := sc.tile[:vHi-vLo]
-		m.logitTile(tile, sc, hDrug, trow, vLo)
-		for i, logit := range tile {
-			// The selection ranks sigmoid scores, but the sigmoid is
-			// monotone non-decreasing, so a logit at or below the k-th
-			// retained item's logit (carried as the selector aux value)
-			// cannot displace anything — skip its exp entirely. Ranks
-			// and retained score bits are unchanged: every retained
-			// item's score is still mat.Sigmoid of its logit.
-			if sc.sel.Full() && logit <= sc.sel.LastAux() {
-				continue
-			}
-			sc.sel.PushAux(vLo+i, mat.Sigmoid(logit), logit)
-		}
-	}
-	return sc.sel.AppendTo(nil, nil)
 }

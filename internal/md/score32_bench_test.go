@@ -1,10 +1,10 @@
 package md
 
-// Benchmarks for the quantized scoring paths, directly comparable to
-// their f64 twins in score_bench_test.go: same model, same patient,
-// same serial-worker discipline. BenchmarkTopKPrecisionWidths sweeps
-// the representation width so the f32:f64 kernel ratio can be read at
-// the widths the serve smoke trains at.
+// Benchmarks for the f32 scoring path, directly comparable to the f64
+// ones in score_bench_test.go: same model, same patient, same
+// serial-worker discipline. BenchmarkTopKPrecisionWidths sweeps the
+// representation width so the f32:f64 kernel ratio can be read at the
+// widths the serve smoke trains at.
 
 import (
 	"fmt"
@@ -54,7 +54,7 @@ func BenchmarkTopKPrecisionWidths(b *testing.B) {
 		m := NewModel(d, nil, cfg)
 		m.Train()
 		p := m.Data.Test[0]
-		for _, prec := range []Precision{F64, F32, Int8} {
+		for _, prec := range []Precision{F64, F32} {
 			b.Run(fmt.Sprintf("h%d/%s", hidden, prec), func(b *testing.B) {
 				withBenchPrecision(b, m, prec)
 				b.ReportAllocs()

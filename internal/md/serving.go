@@ -49,8 +49,11 @@ func (m *Model) ServingState() (ServingState, error) {
 // over the given dataset. The restored model's Scores /
 // PatientRepresentations / DrugRepresentations are bitwise identical
 // to the model the state came from; to retrain, build a fresh model
-// with NewModel instead.
+// with NewModel instead. A state whose decoder the fused engine cannot
+// run — not a two-layer scalar MLP over the hidden width + 1 — is
+// rejected here rather than on the first score.
 func NewServing(d *dataset.Dataset, st ServingState) (*Model, error) {
+	pd, fused := nn.NewPairDecoder(st.Decoder)
 	switch {
 	case st.FcPat == nil || st.FcDrug == nil || st.Decoder == nil:
 		return nil, fmt.Errorf("md: serving state is missing encoder or decoder weights")
@@ -62,6 +65,12 @@ func NewServing(d *dataset.Dataset, st ServingState) (*Model, error) {
 		return nil, fmt.Errorf("md: drug cache has %d rows for a dataset with %d drugs", st.DrugCache.Rows(), d.NumDrugs())
 	case len(st.FcPat.Layers) == 0 || st.FcPat.Layers[0].W.Rows() != d.X.Cols():
 		return nil, fmt.Errorf("md: patient encoder input width does not match the dataset feature width %d", d.X.Cols())
+	case !fused:
+		return nil, fmt.Errorf("md: decoder is not the two-layer scalar MLP the scoring engine fuses")
+	}
+	if w, _ := pd.Dims(); w != st.DrugCache.Cols() || w != st.FcPat.OutDim() {
+		return nil, fmt.Errorf("md: decoder input width %d does not match drug representations %d + 1 and patient encoder output %d + 1",
+			w+1, st.DrugCache.Cols(), st.FcPat.OutDim())
 	}
 	m := &Model{
 		Config:    st.Config,
@@ -104,6 +113,6 @@ func NewServing(d *dataset.Dataset, st ServingState) (*Model, error) {
 	// The fused scoring kernel references the decoder's live weight
 	// matrices, so a restored model scores through the same tiled
 	// engine (and with the same bits) as the model it was saved from.
-	m.pd, _ = nn.NewPairDecoder(m.decoder)
+	m.pd = pd
 	return m, nil
 }

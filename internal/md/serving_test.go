@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dssddi/internal/dataset"
+	"dssddi/internal/nn"
 	"dssddi/internal/synth"
 )
 
@@ -90,6 +91,21 @@ func TestNewServingValidation(t *testing.T) {
 	broken.Treatment = nil
 	if _, err := NewServing(d, broken); err == nil {
 		t.Fatal("missing treatment must be rejected")
+	}
+
+	// Decoders the fused engine cannot run must fail the load, not the
+	// first Scores call on a pool worker.
+	rng := rand.New(rand.NewSource(3))
+	var ps nn.Params
+	for _, sizes := range [][]int{
+		{cfg.Hidden + 2, cfg.Hidden, 1},             // input width hidden+2
+		{cfg.Hidden + 1, cfg.Hidden, cfg.Hidden, 1}, // three layers
+	} {
+		broken = good
+		broken.Decoder = nn.NewMLP(rng, &ps, sizes, nn.ActLeakyReLU, false)
+		if _, err := NewServing(d, broken); err == nil {
+			t.Fatalf("decoder %v must be rejected", sizes)
+		}
 	}
 }
 

@@ -9,66 +9,73 @@ import (
 )
 
 // TestPairDecoder32TracksOracle checks the f32 fused pair decode
-// against the f64 oracle across activations: with O(1) weights and
-// inputs the two paths must agree to a few ulps of float32 — the same
-// tolerance the serving divergence gate enforces end to end.
+// against the f64 oracle across activations and at interaction widths
+// on and off the quad grid: with O(1) weights and inputs the two paths
+// must agree to a few ulps of float32 — the same tolerance the serving
+// divergence gate enforces end to end.
 func TestPairDecoder32TracksOracle(t *testing.T) {
 	for _, act := range []Activation{ActLeakyReLU, ActReLU, ActTanh, ActSigmoid} {
-		rng := rand.New(rand.NewSource(5))
-		const d, h, pairs = 23, 16, 200
-		var ps Params
-		mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
-		pd, ok := NewPairDecoder(mlp)
-		if !ok {
-			t.Fatal("decoder-shaped MLP rejected")
+		for _, d := range []int{23, 24, 25, 26} {
+			testPairDecoder32(t, act, d)
 		}
-		pd32 := NewPairDecoder32(pd)
-		if gd, gh := pd32.Dims(); gd != d || gh != h {
-			t.Fatalf("Dims = (%d, %d), want (%d, %d)", gd, gh, d, h)
-		}
-		if pd32.Bytes() != (d+1)*h*4+h*4+h*4+4 {
-			t.Fatalf("Bytes = %d", pd32.Bytes())
-		}
+	}
+}
 
-		ha := mat.RandNormal(rng, 9, d, 1)
-		hb := mat.RandNormal(rng, 11, d, 1)
-		inter := make([]float64, d+1)
-		hid := make([]float64, h)
-		hid32 := make([]float32, h)
-		var maxDelta float64
-		for i := 0; i < pairs; i++ {
-			a64 := ha.Row(rng.Intn(ha.Rows()))
-			b64 := hb.Row(rng.Intn(hb.Rows()))
-			tv := float64(rng.Intn(2))
-			want := pd.Logit(a64, b64, tv, inter, hid)
-			got := pd32.Logit(mat.Floats32(a64), mat.Floats32(b64), float32(tv), hid32)
-			if d := math.Abs(got - want); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		// d=23/h=16 sums of O(1) terms: f32 rounding keeps the logit
-		// within ~1e-5; anything larger means a wrong formula, not
-		// rounding.
-		if maxDelta > 1e-4 {
-			t.Fatalf("act=%v: max |logit32 - logit64| = %g, want <= 1e-4", act, maxDelta)
-		}
+func testPairDecoder32(t *testing.T, act Activation, d int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	const h, pairs = 16, 200
+	var ps Params
+	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
+	pd, ok := NewPairDecoder(mlp)
+	if !ok {
+		t.Fatal("decoder-shaped MLP rejected")
+	}
+	pd32 := NewPairDecoder32(pd)
+	if gd, gh := pd32.Dims(); gd != d || gh != h {
+		t.Fatalf("Dims = (%d, %d), want (%d, %d)", gd, gh, d, h)
+	}
+	if pd32.Bytes() != (d+1)*h*4+h*4+h*4+4 {
+		t.Fatalf("Bytes = %d", pd32.Bytes())
+	}
 
-		// The block decode: every block size up to hb's rows, each pair
-		// bit-equal to its per-pair Logit.
-		hids := blockScratch[float32](hb.Rows(), h)
-		for nb := 1; nb <= hb.Rows(); nb++ {
-			a := mat.Floats32(ha.Row(nb % ha.Rows()))
-			bs := make([][]float32, nb)
-			ts := make([]float32, nb)
-			for i := range bs {
-				bs[i], ts[i] = mat.Floats32(hb.Row(i)), float32(i%2)
-			}
-			got := make([]float64, nb)
-			pd32.LogitsInto(got, a, bs, ts, hids)
-			for i, g := range got {
-				if w := pd32.Logit(a, bs[i], ts[i], hid32); math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("act=%v block %d pair %d: LogitsInto %v != Logit %v", act, nb, i, g, w)
-				}
+	ha := mat.RandNormal(rng, 9, d, 1)
+	hb := mat.RandNormal(rng, 11, d, 1)
+	hid := make([]float64, h)
+	hid32 := make([]float32, h)
+	var maxDelta float64
+	for i := 0; i < pairs; i++ {
+		a64 := ha.Row(rng.Intn(ha.Rows()))
+		b64 := hb.Row(rng.Intn(hb.Rows()))
+		tv := float64(rng.Intn(2))
+		want := pd.Logit(a64, b64, tv, hid)
+		got := pd32.Logit(mat.Floats32(a64), mat.Floats32(b64), float32(tv), hid32)
+		if d := math.Abs(got - want); d > maxDelta {
+			maxDelta = d
+		}
+	}
+	// d=23/h=16 sums of O(1) terms: f32 rounding keeps the logit
+	// within ~1e-5; anything larger means a wrong formula, not
+	// rounding.
+	if maxDelta > 1e-4 {
+		t.Fatalf("act=%v d=%d: max |logit32 - logit64| = %g, want <= 1e-4", act, d, maxDelta)
+	}
+
+	// The block decode: every block size up to hb's rows, each pair
+	// bit-equal to its per-pair Logit.
+	hids := blockScratch[float32](hb.Rows(), h)
+	for nb := 1; nb <= hb.Rows(); nb++ {
+		a := mat.Floats32(ha.Row(nb % ha.Rows()))
+		bs := make([][]float32, nb)
+		ts := make([]float32, nb)
+		for i := range bs {
+			bs[i], ts[i] = mat.Floats32(hb.Row(i)), float32(i%2)
+		}
+		got := make([]float64, nb)
+		pd32.LogitsInto(got, a, bs, ts, hids)
+		for i, g := range got {
+			if w := pd32.Logit(a, bs[i], ts[i], hid32); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("act=%v d=%d block %d pair %d: LogitsInto %v != Logit %v", act, d, nb, i, g, w)
 			}
 		}
 	}

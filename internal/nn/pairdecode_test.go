@@ -13,66 +13,74 @@ import (
 
 // TestPairDecoderMatchesBatchedForward checks the fused pair decode
 // against the reference gather→Hadamard→concat→Forward pipeline, bit
-// for bit, at several worker counts and across activations.
+// for bit, at several worker counts, across activations and at
+// interaction widths d on and off the quad grid (d % 4 == 3 puts the
+// treatment coefficient in the last quad).
 func TestPairDecoderMatchesBatchedForward(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		mat.SetWorkers(workers)
 		for _, act := range []Activation{ActLeakyReLU, ActReLU, ActTanh, ActSigmoid} {
-			rng := rand.New(rand.NewSource(5))
-			const d, h, pairs = 23, 16, 37
-			var ps Params
-			mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
-			pd, ok := NewPairDecoder(mlp)
-			if !ok {
-				t.Fatal("decoder-shaped MLP rejected")
-			}
-			if gd, gh := pd.Dims(); gd != d || gh != h {
-				t.Fatalf("Dims = (%d, %d), want (%d, %d)", gd, gh, d, h)
-			}
-
-			ha := mat.RandNormal(rng, 9, d, 1)
-			hb := mat.RandNormal(rng, 11, d, 1)
-			aIdx := make([]int, pairs)
-			bIdx := make([]int, pairs)
-			tcol := mat.New(pairs, 1)
-			for i := 0; i < pairs; i++ {
-				aIdx[i] = rng.Intn(ha.Rows())
-				bIdx[i] = rng.Intn(hb.Rows())
-				tcol.Set(i, 0, float64(rng.Intn(2)))
-			}
-			inter := mat.Hadamard(ha.GatherRows(aIdx), hb.GatherRows(bIdx))
-			want := mlp.Forward(mat.ConcatCols(inter, tcol))
-
-			interBuf := make([]float64, d+1)
-			hidBuf := make([]float64, h)
-			for i := 0; i < pairs; i++ {
-				got := pd.Logit(ha.Row(aIdx[i]), hb.Row(bIdx[i]), tcol.At(i, 0), interBuf, hidBuf)
-				if math.Float64bits(got) != math.Float64bits(want.At(i, 0)) {
-					t.Fatalf("workers=%d act=%v pair %d: fused %v != batched %v", workers, act, i, got, want.At(i, 0))
-				}
-			}
-
-			// The block decode: every block size up to hb's rows, each
-			// pair bit-equal to its per-pair Logit.
-			inters, hids := blockScratch[float64](hb.Rows(), d+1), blockScratch[float64](hb.Rows(), h)
-			for nb := 1; nb <= hb.Rows(); nb++ {
-				a := ha.Row(nb % ha.Rows())
-				bs := make([][]float64, nb)
-				ts := make([]float64, nb)
-				for i := range bs {
-					bs[i], ts[i] = hb.Row(i), float64(i%2)
-				}
-				got := make([]float64, nb)
-				pd.LogitsInto(got, a, bs, ts, inters, hids)
-				for i, g := range got {
-					if w := pd.Logit(a, bs[i], ts[i], interBuf, hidBuf); math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("workers=%d act=%v block %d pair %d: LogitsInto %v != Logit %v", workers, act, nb, i, g, w)
-					}
-				}
+			for _, d := range []int{23, 24, 25, 26} {
+				testPairDecoderForward(t, workers, act, d)
 			}
 		}
 	}
 	mat.SetWorkers(0)
+}
+
+func testPairDecoderForward(t *testing.T, workers int, act Activation, d int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	const h, pairs = 16, 37
+	var ps Params
+	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
+	pd, ok := NewPairDecoder(mlp)
+	if !ok {
+		t.Fatal("decoder-shaped MLP rejected")
+	}
+	if gd, gh := pd.Dims(); gd != d || gh != h {
+		t.Fatalf("Dims = (%d, %d), want (%d, %d)", gd, gh, d, h)
+	}
+
+	ha := mat.RandNormal(rng, 9, d, 1)
+	hb := mat.RandNormal(rng, 11, d, 1)
+	aIdx := make([]int, pairs)
+	bIdx := make([]int, pairs)
+	tcol := mat.New(pairs, 1)
+	for i := 0; i < pairs; i++ {
+		aIdx[i] = rng.Intn(ha.Rows())
+		bIdx[i] = rng.Intn(hb.Rows())
+		tcol.Set(i, 0, float64(rng.Intn(2)))
+	}
+	inter := mat.Hadamard(ha.GatherRows(aIdx), hb.GatherRows(bIdx))
+	want := mlp.Forward(mat.ConcatCols(inter, tcol))
+
+	hidBuf := make([]float64, h)
+	for i := 0; i < pairs; i++ {
+		got := pd.Logit(ha.Row(aIdx[i]), hb.Row(bIdx[i]), tcol.At(i, 0), hidBuf)
+		if math.Float64bits(got) != math.Float64bits(want.At(i, 0)) {
+			t.Fatalf("workers=%d act=%v d=%d pair %d: fused %v != batched %v", workers, act, d, i, got, want.At(i, 0))
+		}
+	}
+
+	// The block decode: every block size up to hb's rows, each
+	// pair bit-equal to its per-pair Logit.
+	hids := blockScratch[float64](hb.Rows(), h)
+	for nb := 1; nb <= hb.Rows(); nb++ {
+		a := ha.Row(nb % ha.Rows())
+		bs := make([][]float64, nb)
+		ts := make([]float64, nb)
+		for i := range bs {
+			bs[i], ts[i] = hb.Row(i), float64(i%2)
+		}
+		got := make([]float64, nb)
+		pd.LogitsInto(got, a, bs, ts, hids)
+		for i, g := range got {
+			if w := pd.Logit(a, bs[i], ts[i], hidBuf); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("workers=%d act=%v d=%d block %d pair %d: LogitsInto %v != Logit %v", workers, act, d, nb, i, g, w)
+			}
+		}
+	}
 }
 
 // blockScratch returns n scratch rows of width w.

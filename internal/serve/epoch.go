@@ -28,7 +28,7 @@ type servingEpoch struct {
 	checker *alerts.Checker
 	info    dssddi.SnapshotInfo
 	// precision is the serving precision this epoch's system was
-	// quantized to at build time ("f64", "f32" or "int8-experimental").
+	// quantized to at build time ("f64" or "f32").
 	// It is applied to the freshly loaded system before the epoch is
 	// published, so a hot reload switches precision atomically with the
 	// model and every response's X-Precision header is consistent with

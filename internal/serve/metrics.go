@@ -95,7 +95,7 @@ type WALMetrics struct {
 // treatment rows, fused decoder) plus the registry's cached patient
 // embeddings, at the epoch's precision. Measured from the structures
 // themselves — bytes per element times elements — not from
-// runtime.MemStats, so the f64/f32/int8 figures compare exactly.
+// runtime.MemStats, so the f64 and f32 figures compare exactly.
 type MemoryMetrics struct {
 	Precision              string `json:"precision"`
 	ModelBytes             int64  `json:"model_bytes"`

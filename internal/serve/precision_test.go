@@ -139,38 +139,47 @@ func TestPrecisionBootAndMemory(t *testing.T) {
 		t.Fatalf("healthz precision %q, want f32", health.Precision)
 	}
 
-	// Hot reload flips the f32 server to int8: header follows, model
-	// shrinks below the f32 footprint, and the patient still serves.
-	resp, body := post(t, ts32.URL+"/v1/admin/reload", ReloadRequest{Precision: "int8-experimental"})
+	// Hot reload flips the f32 server to f64: header follows, model
+	// bytes return to the f64 footprint, and the patient still serves
+	// the f64 server's exact answer.
+	resp, body := post(t, ts32.URL+"/v1/admin/reload", ReloadRequest{Precision: "f64"})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("int8 reload: %d %s", resp.StatusCode, body)
+		t.Fatalf("f64 reload: %d %s", resp.StatusCode, body)
 	}
 	var rr ReloadResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
-	if rr.Precision != "int8-experimental" {
+	if rr.Precision != "f64" {
 		t.Fatalf("reload precision %q", rr.Precision)
 	}
-	r8, got8 := suggest(ts32)
-	if p := r8.Header.Get("X-Precision"); p != "int8-experimental" {
-		t.Fatalf("int8 X-Precision %q", p)
+	rBack, gotBack := suggest(ts32)
+	if p := rBack.Header.Get("X-Precision"); p != "f64" {
+		t.Fatalf("reloaded X-Precision %q", p)
 	}
-	if len(got8.Suggestions) != len(got64.Suggestions) {
-		t.Fatalf("int8 suggestion count %d", len(got8.Suggestions))
+	if len(gotBack.Suggestions) != len(got64.Suggestions) {
+		t.Fatalf("reloaded suggestion count %d", len(gotBack.Suggestions))
 	}
-	m8 := metricsOf(ts32)
-	if m8.Memory.ModelBytes <= 0 || m8.Memory.ModelBytes >= m32.Memory.ModelBytes {
-		t.Fatalf("int8 model bytes %d not below f32's %d", m8.Memory.ModelBytes, m32.Memory.ModelBytes)
+	for i, s := range gotBack.Suggestions {
+		if s.DrugID != got64.Suggestions[i].DrugID || math.Float64bits(s.Score) != math.Float64bits(got64.Suggestions[i].Score) {
+			t.Fatalf("rank %d after f64 reload: %+v, want the f64 server's %+v", i, s, got64.Suggestions[i])
+		}
+	}
+	if mBack := metricsOf(ts32); mBack.Memory.ModelBytes != m64.Memory.ModelBytes {
+		t.Fatalf("model bytes after f64 reload %d, want the f64 server's %d", mBack.Memory.ModelBytes, m64.Memory.ModelBytes)
 	}
 
 	// Invalid precisions fail loudly: at boot and over the reload API.
-	if _, err := New(loadSnapshot(t, path), Config{Precision: "f16"}); err == nil {
-		t.Fatal("New accepted precision f16")
+	for _, bad := range []string{"f16", "int8-experimental"} {
+		if _, err := New(loadSnapshot(t, path), Config{Precision: bad}); err == nil {
+			t.Fatalf("New accepted precision %s", bad)
+		}
 	}
-	resp, _ = post(t, ts64.URL+"/v1/admin/reload", ReloadRequest{Precision: "bf16"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad precision reload: %d, want 400", resp.StatusCode)
+	for _, bad := range []string{"bf16", "int8-experimental"} {
+		resp, _ = post(t, ts64.URL+"/v1/admin/reload", ReloadRequest{Precision: bad})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("reload to %s: %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

@@ -385,7 +385,7 @@ func (r *patientRegistry) len() int { return int(r.count.Load()) }
 
 // embeddingBytes sums the resident size of every cached patient
 // embedding — the registry term of the /metricsz memory accounting.
-// At precision f32/int8 each embedding stores narrowed slices, so the
+// At precision f32 each embedding stores narrowed slices, so the
 // total is about half the f64 figure for the same registry.
 func (r *patientRegistry) embeddingBytes() int64 {
 	var total int64

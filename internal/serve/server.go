@@ -92,10 +92,10 @@ type Config struct {
 	// path. Empty leaves path-less reloads disabled.
 	SnapshotPath string
 	// Precision is the serving precision of the scoring engine: "f64"
-	// (default, the accuracy oracle), "f32" (float32 SIMD path, ~half
-	// the resident model and registry-embedding bytes) or
-	// "int8-experimental". Applied to the booted system and to every
-	// hot-reloaded one, unless a reload request overrides it.
+	// (default, the accuracy oracle) or "f32" (float32 SIMD path, half
+	// the resident model and registry-embedding bytes). Applied to the
+	// booted system and to every hot-reloaded one, unless a reload
+	// request overrides it.
 	Precision string
 
 	// WALPath enables the durable patient registry: every mutation is
@@ -994,9 +994,9 @@ func (s *Server) handlePatientDelete(w http.ResponseWriter, r *http.Request, _ *
 
 // ReloadRequest is the /v1/admin/reload body; an empty body (or empty
 // path) reloads Config.SnapshotPath. An empty precision keeps the
-// server's current one; a named precision ("f64", "f32",
-// "int8-experimental") quantizes the reloaded model accordingly and
-// becomes the server's precision from this epoch on.
+// server's current one; a named precision ("f64" or "f32") quantizes
+// the reloaded model accordingly and becomes the server's precision
+// from this epoch on.
 type ReloadRequest struct {
 	Path      string `json:"path,omitempty"`
 	Precision string `json:"precision,omitempty"`

@@ -102,10 +102,6 @@ prec=$(curl -sf "http://$ADDR/healthz" | sed 's/.*"precision":"\([^"]*\)".*/\1/'
 "$WORK/loadgen" -addr "$ADDR" -duration 2s -concurrency 8 -entry-suffix -f32 -json BENCH_serve.json -append
 "$WORK/loadgen" -addr "$ADDR" -cold -duration 3s -concurrency 8 -entry-suffix -f32 -json BENCH_serve.json -append
 
-echo "== quantized serving: hot reload to int8-experimental, cold pass"
-curl -sf -X POST "http://$ADDR/v1/admin/reload" -d '{"precision": "int8-experimental"}' >/dev/null
-"$WORK/loadgen" -addr "$ADDR" -cold -duration 2s -concurrency 8 -entry-suffix -int8 -json BENCH_serve.json -append
-
 echo "== re-measure the f64 cold baseline (same process, same conditions as the f32 pass)"
 curl -sf -X POST "http://$ADDR/v1/admin/reload" -d '{"precision": "f64"}' >/dev/null
 "$WORK/loadgen" -addr "$ADDR" -cold -duration 3s -concurrency 8 -json BENCH_serve.json -append
@@ -124,7 +120,7 @@ prec=$(curl -sf "http://$ADDR32/healthz" | sed 's/.*"precision":"\([^"]*\)".*/\1
 curl -sf -X POST "http://$ADDR32/v1/suggest" -d '{"patient": 0, "k": 3}' >/dev/null
 kill "$SERVER32_PID" 2>/dev/null || true
 
-echo "== characterize f32/int8 divergence vs the f64 oracle into the report"
+echo "== characterize f32 divergence vs the f64 oracle into the report"
 "$WORK/dssddi" precision -m "$WORK/model.snap" -bench BENCH_serve.json
 
 echo "== gates: f32 cold throughput >= 1.5x f64, f32 accuracy within tolerance"
