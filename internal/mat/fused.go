@@ -68,11 +68,11 @@ func quadDot(a, w []float64) float64 {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		s += (a0*w[k] + a1*w[k+1]) + (a2*w[k+2] + a3*w[k+3])
+		s += (float64(a0*w[k]) + float64(a1*w[k+1])) + (float64(a2*w[k+2]) + float64(a3*w[k+3]))
 	}
 	for ; k < len(a); k++ {
 		if av := a[k]; av != 0 {
-			s += av * w[k]
+			s += float64(av * w[k])
 		}
 	}
 	return s
@@ -86,15 +86,18 @@ func quadDot(a, w []float64) float64 {
 // with w the row-major (len(x)+1) x len(dst[i]) weight matrix. The
 // coefficients of each concatenated input row — x[k]*ys[i][k] for
 // k < d = len(x), then ts[i] — are formed on the fly, so neither the
-// Hadamard product nor the concatenation exists, and they are
-// accumulated exactly as MulRowInto accumulates that row: four rows of
-// w at a time through mulAddRows4, skipping all-zero quads (when
-// d % 4 == 3 the treatment coefficient closes the last quad), then the
-// remaining rows one at a time through mulAddRow1, skipping zero
-// coefficients. At float64 every output is therefore bitwise
-// identical to MulRowInto over the materialized row. The quad loop is
-// outermost, so each 4-row slab of w serves the whole block while it
-// is cache-hot.
+// Hadamard product nor the concatenation exists. They are accumulated
+// in MulRowInto's grouping: four rows of w at a time, skipping
+// all-zero quads (when d % 4 == 3 the treatment coefficient closes the
+// last quad), then the remaining rows one at a time through
+// mulAddRow1, skipping zero coefficients. The kernel table runs every
+// quad of the block in one call, quad loop outermost, so each 4-row
+// slab of w serves the whole block while it is cache-hot.
+//
+// At float64 the quads go through mulAddRows4, so every output is
+// bitwise identical to MulRowInto over the materialized row. At
+// float32 each quad is one FMA chain (quadFMAGo), identical at every
+// SIMD level.
 //
 // Runs entirely on the calling goroutine and allocates nothing.
 func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w []T) {
@@ -114,29 +117,11 @@ func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w []T) {
 		clear(dst[i])
 	}
 	ks := kernelsOf[T]()
-	k := 0
-	for ; k+3 < d; k += 4 {
-		w4 := w[k*h : (k+4)*h]
-		for i, y := range ys {
-			a0, a1, a2, a3 := x[k]*y[k], x[k+1]*y[k+1], x[k+2]*y[k+2], x[k+3]*y[k+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			ks.mulAddRows4(dst[i], w4, a0, a1, a2, a3)
-		}
-	}
-	if k+3 == d {
-		w4 := w[k*h:]
-		for i, y := range ys {
-			a0, a1, a2, a3 := x[k]*y[k], x[k+1]*y[k+1], x[k+2]*y[k+2], ts[i]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			ks.mulAddRows4(dst[i], w4, a0, a1, a2, a3)
-		}
+	ks.pairQuads(dst, x, ys, ts, w)
+	if d%4 == 3 {
 		return
 	}
-	for ; k < d; k++ {
+	for k := d &^ 3; k < d; k++ {
 		wk := w[k*h : (k+1)*h]
 		for i, y := range ys {
 			if a := x[k] * y[k]; a != 0 {

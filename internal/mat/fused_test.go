@@ -40,8 +40,10 @@ func TestMulRowIntoMatchesMatMul(t *testing.T) {
 // MulRowsHadamardInto at both types against a per-row scalar oracle,
 // bit for bit, with the vector path on and off, at every block size
 // from 1 to 9. The oracle materializes concat(x⊙y, t) and accumulates
-// it in MulRowInto's order through the Go reference kernels; at
-// float64 it is itself checked against MulRowInto. The shapes put d
+// it in MulRowInto's grouping through the Go reference kernels (the
+// quads through mulAddRows4Go at float64, through the FMA chain
+// quadFMAGo at float32); at float64 it is itself checked against
+// MulRowInto. The shapes put d
 // off the quad grid (d % 4 == 3 included, where t closes the last
 // quad) and off blockK, the widths off the eight-lane grid, and
 // include a single-column layer. Even rows of every block open with
@@ -130,10 +132,15 @@ func checkMulRowsHadamard[T Float](t *testing.T, simd bool, d, h int) {
 }
 
 // mulRowRef is the per-row scalar oracle of MulRowsHadamardInto:
-// dst = arow * w accumulated in MulRowInto's order (quads with
+// dst = arow * w accumulated in MulRowInto's grouping (quads with
 // all-zero skips, then a zero-skipping tail) through the Go reference
-// kernels.
+// kernels of T.
 func mulRowRef[T Float](dst, arow, w []T) {
+	var q any = mulAddRows4Go[float64]
+	if _, f32 := any(dst).([]float32); f32 {
+		q = quadFMAGo
+	}
+	quad := q.(func(dst, b4 []T, a0, a1, a2, a3 T))
 	h := len(dst)
 	clear(dst)
 	k := 0
@@ -142,7 +149,7 @@ func mulRowRef[T Float](dst, arow, w []T) {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		mulAddRows4Go(dst, w[k*h:(k+4)*h], a0, a1, a2, a3)
+		quad(dst, w[k*h:(k+4)*h], a0, a1, a2, a3)
 	}
 	for ; k < len(arow); k++ {
 		if arow[k] != 0 {

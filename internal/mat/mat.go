@@ -332,7 +332,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -341,7 +341,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -354,7 +354,7 @@ func EuclideanDistance(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

@@ -125,7 +125,7 @@ func (t *kernTask) Chunk(lo, hi int) {
 	case kAddHadamard:
 		dd, ad, bd := t.dst.data, t.a.data, t.b.data
 		for i := lo; i < hi; i++ {
-			dd[i] += ad[i] * bd[i]
+			dd[i] += float64(ad[i] * bd[i])
 		}
 	case kAddScaled:
 		dd, ad := t.dst.data, t.a.data

@@ -10,7 +10,8 @@ import (
 func RandUniform(rng *rand.Rand, rows, cols int, scale float64) *Dense {
 	m := New(rows, cols)
 	for i := range m.data {
-		m.data[i] = (rng.Float64()*2 - 1) * scale
+		u := float64(rng.Float64()) // rounded: no FMA with rand's own scaling
+		m.data[i] = (float64(u*2) - 1) * scale
 	}
 	return m
 }

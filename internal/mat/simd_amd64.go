@@ -4,29 +4,35 @@ package mat
 
 import "os"
 
-// useAVX2 and useAVX512 gate the vector kernels. They are detected
-// once at startup (CPUID + XGETBV, see simd_amd64.s) and only ever
-// disabled after that — the equivalence tests flip them to prove the
-// scalar and vector paths produce identical bits. The DSSDDI_SIMD
-// environment variable caps the level ("off", "avx2", or the default
-// "avx512"), for deployments where 512-bit frequency licensing is a
-// concern; every level produces identical bits.
-var useAVX2, useAVX512 = detectSIMD()
+// useAVX2, useFMA and useAVX512 gate the vector kernels. They are
+// detected once at startup (CPUID + XGETBV, see simd_amd64.s) and only
+// ever disabled after that — the equivalence tests flip them to prove
+// the scalar and vector paths produce identical bits. useFMA (AVX2
+// plus the FMA extension) gates the float32 pair decode. The
+// DSSDDI_SIMD environment variable caps the level ("off", "avx2", or
+// the default "avx512"), for deployments where 512-bit frequency
+// licensing is a concern; every level produces identical bits.
+var useAVX2, useFMA, useAVX512 = detectSIMD()
 
-func detectSIMD() (avx2, avx512 bool) {
+func detectSIMD() (avx2, fma, avx512 bool) {
 	avx2 = cpuSupportsAVX2()
+	fma = avx2 && cpuSupportsFMA()
 	avx512 = avx2 && cpuSupportsAVX512()
 	switch os.Getenv("DSSDDI_SIMD") {
 	case "off":
-		avx2, avx512 = false, false
+		avx2, fma, avx512 = false, false, false
 	case "avx2":
 		avx512 = false
 	}
-	return avx2, avx512
+	return avx2, fma, avx512
 }
 
 // cpuSupportsAVX2 reports AVX2 with OS-enabled YMM state.
 func cpuSupportsAVX2() bool
+
+// cpuSupportsFMA reports the FMA extension (CPUID.1:ECX bit 12); only
+// meaningful once cpuSupportsAVX2 holds.
+func cpuSupportsFMA() bool
 
 // cpuSupportsAVX512 reports AVX512F with OS-enabled ZMM state.
 func cpuSupportsAVX512() bool
@@ -107,15 +113,15 @@ func hadamardSlices(dst, a, b []float64) {
 	hadamardIntoGo(dst, a, b)
 }
 
-// The float32 kernels share the useAVX2/useAVX512 gates (and the
-// DSSDDI_SIMD cap) with the float64 set: one environment knob governs
-// both precisions, and every level produces identical f32 bits.
+// The float32 kernels share the gates (and the DSSDDI_SIMD cap) with
+// the float64 set: one environment knob governs both precisions, and
+// every level produces identical f32 bits.
 
 //go:noescape
-func mulAddRows4AVX512F32(dst, b4 []float32, a0, a1, a2, a3 float32)
+func pairQuadsAVX512F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
 
 //go:noescape
-func mulAddRows4AVX2F32(dst, b4 []float32, a0, a1, a2, a3 float32)
+func pairQuadsAVX2F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
 
 //go:noescape
 func mulAddRow1AVX2F32(dst, b []float32, a float32)
@@ -126,18 +132,18 @@ func dot8AVX2F32(a, b []float32) float32
 //go:noescape
 func addBiasLeakyAVX2F32(dst, bias []float32, slope float32)
 
-// mulAddRows432 is mulAddRows4 at float32.
-func mulAddRows432(dst, b4 []float32, a0, a1, a2, a3 float32) {
-	if len(b4) < 4*len(dst) {
-		panic("mat: mulAddRows432 needs 4*len(dst) b values")
-	}
+// pairQuads32 runs every full quad of a float32 pair block (see
+// pairQuadsGo) as one quadFMA chain per quad, in a single assembly
+// call where the CPU has FMA. The caller (MulRowsHadamardInto) has
+// checked the shapes and that the block is not empty.
+func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
 	switch {
-	case useAVX512 && len(dst) > 0:
-		mulAddRows4AVX512F32(dst, b4, a0, a1, a2, a3)
-	case useAVX2 && len(dst) > 0:
-		mulAddRows4AVX2F32(dst, b4, a0, a1, a2, a3)
+	case useAVX512 && useFMA:
+		pairQuadsAVX512F32(dst, x, ys, ts, w)
+	case useFMA:
+		pairQuadsAVX2F32(dst, x, ys, ts, w)
 	default:
-		mulAddRows4Go(dst, b4, a0, a1, a2, a3)
+		pairQuadsGo(dst, x, ys, ts, w, quadFMAGo)
 	}
 }
 
@@ -185,7 +191,10 @@ func SIMD() string {
 // flip while kernels are running on other goroutines.
 func simdEnabled() bool { return useAVX2 }
 
+// setSIMD(true) restores the start-up level, DSSDDI_SIMD cap included.
 func setSIMD(on bool) {
-	useAVX2 = on && cpuSupportsAVX2()
-	useAVX512 = useAVX2 && cpuSupportsAVX512()
+	useAVX2, useFMA, useAVX512 = false, false, false
+	if on {
+		useAVX2, useFMA, useAVX512 = detectSIMD()
+	}
 }

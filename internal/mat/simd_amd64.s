@@ -1,11 +1,12 @@
-// AVX2 micro-kernels for the dense matmul inner loops. Each function
-// mirrors its *Go reference in simd.go exactly: vector lanes are
-// independent output elements (or, for dot4, exactly the scalar
-// code's four interleaved accumulators), multiplies and adds are
-// separate instructions (no FMA — FMA skips the intermediate rounding
-// and would change bits), and scalar tails replicate the same
-// operation grouping. Results are bitwise identical to the Go
-// fallback for every input.
+// AVX2/AVX-512 micro-kernels for the dense matmul inner loops. Each
+// function mirrors its *Go reference in simd.go exactly: vector lanes
+// are independent output elements (or, for dot4, exactly the scalar
+// code's four interleaved accumulators), and scalar tails replicate
+// the same operation grouping. Multiplies and adds are separate
+// instructions except in the float32 pair-decode kernels, whose FMA
+// chain quadFMAGo reproduces step for step with an exactly rounded
+// fma32. Results are bitwise identical to the Go fallback for every
+// input.
 
 #include "textflag.h"
 
@@ -40,6 +41,17 @@ TEXT ·cpuSupportsAVX2(SB), NOSPLIT, $0-1
 
 cpu_no:
 	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuSupportsFMA() bool
+TEXT ·cpuSupportsFMA(SB), NOSPLIT, $0-1
+	// CPUID leaf 1: ECX bit 12 = FMA.
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	SHRL  $12, CX
+	ANDL  $1, CX
+	MOVB  CX, ret+0(FP)
 	RET
 
 // func mulAddRows4AVX2(dst, b4 []float64, a0, a1, a2, a3 float64)
@@ -438,83 +450,11 @@ abl_done:
 	RET
 
 // ---------------------------------------------------------------------
-// float32 kernels — the serving engine's quantized twins. Same
-// discipline as the f64 set above (no FMA, lanes are independent
-// output elements or dot8's exact interleaved accumulators, scalar
-// tails replicate the vector grouping), with 8 float32 lanes per ymm
-// instead of 4 float64 lanes. Bitwise identical to the float32
-// instances of the *Go references in simd.go for every input.
-
-// func mulAddRows4AVX2F32(dst, b4 []float32, a0, a1, a2, a3 float32)
-//
-// dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j]) with the
-// four b-rows of length len(dst) stored back to back in b4.
-TEXT ·mulAddRows4AVX2F32(SB), NOSPLIT, $0-64
-	MOVQ dst_base+0(FP), SI
-	MOVQ dst_len+8(FP), CX
-	MOVQ b4_base+24(FP), DI
-	MOVQ CX, DX
-	SHLQ $2, DX              // DX = row stride in bytes
-	LEAQ (DI)(DX*2), R9      // R9 = start of row 2
-
-	VBROADCASTSS a0+48(FP), Y0
-	VBROADCASTSS a1+52(FP), Y1
-	VBROADCASTSS a2+56(FP), Y2
-	VBROADCASTSS a3+60(FP), Y3
-
-	CMPQ CX, $8
-	JL   mar4f_tail_start
-
-mar4f_loop:
-	VMOVUPS (DI), Y4
-	VMULPS  Y4, Y0, Y4       // a0*b0
-	VMOVUPS (DI)(DX*1), Y5
-	VMULPS  Y5, Y1, Y5       // a1*b1
-	VADDPS  Y5, Y4, Y4       // a0*b0 + a1*b1
-	VMOVUPS (R9), Y6
-	VMULPS  Y6, Y2, Y6       // a2*b2
-	VMOVUPS (R9)(DX*1), Y7
-	VMULPS  Y7, Y3, Y7       // a3*b3
-	VADDPS  Y7, Y6, Y6       // a2*b2 + a3*b3
-	VADDPS  Y6, Y4, Y4       // (low) + (high)
-	VMOVUPS (SI), Y8
-	VADDPS  Y4, Y8, Y8       // dst += sum
-	VMOVUPS Y8, (SI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	ADDQ    $32, R9
-	SUBQ    $8, CX
-	CMPQ    CX, $8
-	JGE     mar4f_loop
-
-mar4f_tail_start:
-	VZEROUPPER
-	TESTQ CX, CX
-	JZ    mar4f_done
-
-mar4f_tail:
-	MOVSS (DI), X4
-	MULSS X0, X4
-	MOVSS (DI)(DX*1), X5
-	MULSS X1, X5
-	ADDSS X5, X4
-	MOVSS (R9), X6
-	MULSS X2, X6
-	MOVSS (R9)(DX*1), X7
-	MULSS X3, X7
-	ADDSS X7, X6
-	ADDSS X6, X4
-	MOVSS (SI), X8
-	ADDSS X4, X8
-	MOVSS X8, (SI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	ADDQ  $4, R9
-	DECQ  CX
-	JNZ   mar4f_tail
-
-mar4f_done:
-	RET
+// float32 kernels — the serving engine's quantized twins. Lanes are
+// independent output elements or dot8's exact interleaved
+// accumulators, scalar tails replicate the vector grouping, 8 float32
+// lanes per ymm (16 per zmm). Bitwise identical to the float32 *Go
+// references in simd.go for every input.
 
 // func mulAddRow1AVX2F32(dst, b []float32, a float32)
 //
@@ -674,99 +614,256 @@ ablf_keep:
 ablf_done:
 	RET
 
-// func mulAddRows4AVX512F32(dst, b4 []float32, a0, a1, a2, a3 float32)
+// func pairQuadsAVX512F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
 //
-// The 512-bit flavor of mulAddRows4F32: 16 lanes per step, then one
-// 8-lane step, then the scalar tail — every output element sees the
-// identical multiply/add sequence regardless of which step handles
-// it, so the result matches the scalar reference bit for bit.
-TEXT ·mulAddRows4AVX512F32(SB), NOSPLIT, $0-64
-	MOVQ dst_base+0(FP), SI
-	MOVQ dst_len+8(FP), CX
-	MOVQ b4_base+24(FP), DI
-	MOVQ CX, DX
-	SHLQ $2, DX              // DX = row stride in bytes
-	LEAQ (DI)(DX*2), R9      // R9 = start of row 2
+// pairQuadsGo with quadFMAGo in one call: for each quad k (outermost)
+// and each pair i, a = x[k:k+4] ⊙ ys[i][k:k+4] is formed in a register
+// (lane 3 = ts[i] when the quad is the last one and len(x) % 4 == 3),
+// all-zero quads are skipped, and every element of dst[i] gets
+// t = a0*w0; t = fma(a1,w1,t); t = fma(a2,w2,t); t = fma(a3,w3,t);
+// dst += t — 16 lanes a step, then one 8-lane step, then scalar.
+// Requires len(dst) == len(ys) == len(ts) >= 1, every dst row
+// len(dst[0]) wide, every ys row len(x) long, and len(x)+1 rows in w.
+TEXT ·pairQuadsAVX512F32(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), R8      // dst slice headers
+	MOVQ dst_len+8(FP), DX       // pairs in the block
+	MOVQ 8(R8), R13
+	SHLQ $2, R13                 // R13 = w row stride in bytes
+	MOVQ ys_base+48(FP), R9      // ys slice headers
+	MOVQ ts_base+72(FP), R10
+	MOVQ w_base+96(FP), R12      // R12 = rows k..k+3 of w
+	XORQ R11, R11                // R11 = byte offset of quad k in x and ys[i]
+	VXORPS X9, X9, X9            // zero, for the all-zero quad test
+	MOVQ x_len+32(FP), R14
+	SHRQ $2, R14                 // R14 = x⊙y quads left, this one included
+	TESTQ R14, R14
+	JZ   pq512_tquad
 
-	VBROADCASTSS a0+48(FP), Z0
-	VBROADCASTSS a1+52(FP), Z1
-	VBROADCASTSS a2+56(FP), Z2
-	VBROADCASTSS a3+60(FP), Z3
+pq512_quad:
+	MOVQ    x_base+24(FP), AX
+	VMOVUPS (AX)(R11*1), X8      // x[k:k+4]
 
+pq512_block:
+	XORQ BX, BX                  // i = 0
+
+pq512_pair:
+	LEAQ  (BX)(BX*2), SI         // slice headers are three words
+	MOVQ  (R9)(SI*8), AX         // ys[i]
+	MOVQ  (R8)(SI*8), SI         // dst[i]
+	TESTQ R14, R14
+	JZ    pq512_tcoef
+	VMULPS (AX)(R11*1), X8, X4   // a = x[k:k+4] ⊙ ys[i][k:k+4]
+	JMP   pq512_coef
+
+pq512_tcoef:
+	VMOVSD    (AX)(R11*1), X4             // ys[i][k:k+2]
+	VINSERTPS $0x20, 8(AX)(R11*1), X4, X4 // lane 2 = ys[i][k+2]
+	VMULPS    X8, X4, X4
+	VINSERTPS $0x30, (R10)(BX*4), X4, X4  // lane 3 = ts[i]
+
+pq512_coef:
+	VCMPPS    $0, X9, X4, X5     // a == 0 per lane (EQ_OQ)
+	VMOVMSKPS X5, AX
+	CMPL      AX, $15
+	JEQ       pq512_next         // all-zero quad
+	VBROADCASTSS X4, Z0
+	VPERMILPS    $0x55, X4, X5
+	VBROADCASTSS X5, Z1
+	VPERMILPS    $0xAA, X4, X5
+	VBROADCASTSS X5, Z2
+	VPERMILPS    $0xFF, X4, X5
+	VBROADCASTSS X5, Z3
+	MOVQ R12, DI                 // row k
+	LEAQ (R12)(R13*2), AX        // row k+2
+	MOVQ R13, CX
+	SHRQ $2, CX                  // CX = elements of dst[i] left
 	CMPQ CX, $16
-	JL   m512f_oct_start
+	JL   pq512_oct
 
-m512f_loop:
-	VMOVUPS (DI), Z4
-	VMULPS  Z4, Z0, Z4       // a0*b0
-	VMOVUPS (DI)(DX*1), Z5
-	VMULPS  Z5, Z1, Z5       // a1*b1
-	VADDPS  Z5, Z4, Z4       // a0*b0 + a1*b1
-	VMOVUPS (R9), Z6
-	VMULPS  Z6, Z2, Z6       // a2*b2
-	VMOVUPS (R9)(DX*1), Z7
-	VMULPS  Z7, Z3, Z7       // a3*b3
-	VADDPS  Z7, Z6, Z6       // a2*b2 + a3*b3
-	VADDPS  Z6, Z4, Z4       // (low) + (high)
-	VMOVUPS (SI), Z8
-	VADDPS  Z4, Z8, Z8       // dst += sum
-	VMOVUPS Z8, (SI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	ADDQ    $64, R9
-	SUBQ    $16, CX
-	CMPQ    CX, $16
-	JGE     m512f_loop
+pq512_loop:
+	VMULPS      (DI), Z0, Z4         // t = a0*w0
+	VFMADD231PS (DI)(R13*1), Z1, Z4  // t = fma(a1, w1, t)
+	VFMADD231PS (AX), Z2, Z4         // t = fma(a2, w2, t)
+	VFMADD231PS (AX)(R13*1), Z3, Z4  // t = fma(a3, w3, t)
+	VADDPS      (SI), Z4, Z4         // dst + t
+	VMOVUPS     Z4, (SI)
+	ADDQ        $64, SI
+	ADDQ        $64, DI
+	ADDQ        $64, AX
+	SUBQ        $16, CX
+	CMPQ        CX, $16
+	JGE         pq512_loop
 
-m512f_oct_start:
+pq512_oct:
 	CMPQ CX, $8
-	JL   m512f_tail_start
+	JL   pq512_tail
 
 	// One 8-lane step (the Y registers alias the Z broadcasts).
-	VMOVUPS (DI), Y4
-	VMULPS  Y4, Y0, Y4
-	VMOVUPS (DI)(DX*1), Y5
-	VMULPS  Y5, Y1, Y5
-	VADDPS  Y5, Y4, Y4
-	VMOVUPS (R9), Y6
-	VMULPS  Y6, Y2, Y6
-	VMOVUPS (R9)(DX*1), Y7
-	VMULPS  Y7, Y3, Y7
-	VADDPS  Y7, Y6, Y6
-	VADDPS  Y6, Y4, Y4
-	VMOVUPS (SI), Y8
-	VADDPS  Y4, Y8, Y8
-	VMOVUPS Y8, (SI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	ADDQ    $32, R9
-	SUBQ    $8, CX
+	VMULPS      (DI), Y0, Y4
+	VFMADD231PS (DI)(R13*1), Y1, Y4
+	VFMADD231PS (AX), Y2, Y4
+	VFMADD231PS (AX)(R13*1), Y3, Y4
+	VADDPS      (SI), Y4, Y4
+	VMOVUPS     Y4, (SI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	ADDQ        $32, AX
+	SUBQ        $8, CX
 
-m512f_tail_start:
-	VZEROUPPER
+pq512_tail:
 	TESTQ CX, CX
-	JZ    m512f_done
+	JZ    pq512_next
 
-m512f_tail:
-	MOVSS (DI), X4
-	MULSS X0, X4
-	MOVSS (DI)(DX*1), X5
-	MULSS X1, X5
-	ADDSS X5, X4
-	MOVSS (R9), X6
-	MULSS X2, X6
-	MOVSS (R9)(DX*1), X7
-	MULSS X3, X7
-	ADDSS X7, X6
-	ADDSS X6, X4
-	MOVSS (SI), X8
-	ADDSS X4, X8
-	MOVSS X8, (SI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	ADDQ  $4, R9
-	DECQ  CX
-	JNZ   m512f_tail
+pq512_tail_loop:
+	VMULSS      (DI), X0, X4
+	VFMADD231SS (DI)(R13*1), X1, X4
+	VFMADD231SS (AX), X2, X4
+	VFMADD231SS (AX)(R13*1), X3, X4
+	VADDSS      (SI), X4, X4
+	VMOVSS      X4, (SI)
+	ADDQ        $4, SI
+	ADDQ        $4, DI
+	ADDQ        $4, AX
+	DECQ        CX
+	JNZ         pq512_tail_loop
 
-m512f_done:
+pq512_next:
+	INCQ  BX
+	CMPQ  BX, DX
+	JLT   pq512_pair
+	TESTQ R14, R14
+	JZ    pq512_done             // that was the quad ts closes
+	ADDQ  $16, R11
+	LEAQ  (R12)(R13*4), R12
+	DECQ  R14
+	JNZ   pq512_quad
+
+pq512_tquad:
+	// len(x) % 4 == 3: the last quad is x[k:k+3] ⊙ ys[i][k:k+3], ts[i].
+	MOVQ      x_len+32(FP), AX
+	ANDQ      $3, AX
+	CMPQ      AX, $3
+	JNE       pq512_done
+	MOVQ      x_base+24(FP), AX
+	VMOVSD    (AX)(R11*1), X8             // x[k:k+2]
+	VINSERTPS $0x20, 8(AX)(R11*1), X8, X8 // lane 2 = x[k+2]
+	JMP       pq512_block
+
+pq512_done:
+	VZEROUPPER
+	RET
+
+// func pairQuadsAVX2F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
+//
+// pairQuadsAVX512F32 at 8 lanes a step, then scalar; needs FMA.
+TEXT ·pairQuadsAVX2F32(SB), NOSPLIT, $0-120
+	MOVQ dst_base+0(FP), R8
+	MOVQ dst_len+8(FP), DX
+	MOVQ 8(R8), R13
+	SHLQ $2, R13
+	MOVQ ys_base+48(FP), R9
+	MOVQ ts_base+72(FP), R10
+	MOVQ w_base+96(FP), R12
+	XORQ R11, R11
+	VXORPS X9, X9, X9
+	MOVQ x_len+32(FP), R14
+	SHRQ $2, R14
+	TESTQ R14, R14
+	JZ   pq2_tquad
+
+pq2_quad:
+	MOVQ    x_base+24(FP), AX
+	VMOVUPS (AX)(R11*1), X8
+
+pq2_block:
+	XORQ BX, BX
+
+pq2_pair:
+	LEAQ  (BX)(BX*2), SI
+	MOVQ  (R9)(SI*8), AX
+	MOVQ  (R8)(SI*8), SI
+	TESTQ R14, R14
+	JZ    pq2_tcoef
+	VMULPS (AX)(R11*1), X8, X4
+	JMP   pq2_coef
+
+pq2_tcoef:
+	VMOVSD    (AX)(R11*1), X4
+	VINSERTPS $0x20, 8(AX)(R11*1), X4, X4
+	VMULPS    X8, X4, X4
+	VINSERTPS $0x30, (R10)(BX*4), X4, X4
+
+pq2_coef:
+	VCMPPS    $0, X9, X4, X5
+	VMOVMSKPS X5, AX
+	CMPL      AX, $15
+	JEQ       pq2_next
+	VBROADCASTSS X4, Y0
+	VPERMILPS    $0x55, X4, X5
+	VBROADCASTSS X5, Y1
+	VPERMILPS    $0xAA, X4, X5
+	VBROADCASTSS X5, Y2
+	VPERMILPS    $0xFF, X4, X5
+	VBROADCASTSS X5, Y3
+	MOVQ R12, DI
+	LEAQ (R12)(R13*2), AX
+	MOVQ R13, CX
+	SHRQ $2, CX
+	CMPQ CX, $8
+	JL   pq2_tail
+
+pq2_loop:
+	VMULPS      (DI), Y0, Y4
+	VFMADD231PS (DI)(R13*1), Y1, Y4
+	VFMADD231PS (AX), Y2, Y4
+	VFMADD231PS (AX)(R13*1), Y3, Y4
+	VADDPS      (SI), Y4, Y4
+	VMOVUPS     Y4, (SI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	ADDQ        $32, AX
+	SUBQ        $8, CX
+	CMPQ        CX, $8
+	JGE         pq2_loop
+
+pq2_tail:
+	TESTQ CX, CX
+	JZ    pq2_next
+
+pq2_tail_loop:
+	VMULSS      (DI), X0, X4
+	VFMADD231SS (DI)(R13*1), X1, X4
+	VFMADD231SS (AX), X2, X4
+	VFMADD231SS (AX)(R13*1), X3, X4
+	VADDSS      (SI), X4, X4
+	VMOVSS      X4, (SI)
+	ADDQ        $4, SI
+	ADDQ        $4, DI
+	ADDQ        $4, AX
+	DECQ        CX
+	JNZ         pq2_tail_loop
+
+pq2_next:
+	INCQ  BX
+	CMPQ  BX, DX
+	JLT   pq2_pair
+	TESTQ R14, R14
+	JZ    pq2_done
+	ADDQ  $16, R11
+	LEAQ  (R12)(R13*4), R12
+	DECQ  R14
+	JNZ   pq2_quad
+
+pq2_tquad:
+	MOVQ      x_len+32(FP), AX
+	ANDQ      $3, AX
+	CMPQ      AX, $3
+	JNE       pq2_done
+	MOVQ      x_base+24(FP), AX
+	VMOVSD    (AX)(R11*1), X8
+	VINSERTPS $0x20, 8(AX)(R11*1), X8, X8
+	JMP       pq2_block
+
+pq2_done:
+	VZEROUPPER
 	RET

@@ -21,11 +21,8 @@ func hadamardSlices(dst, a, b []float64) { hadamardIntoGo(dst, a, b) }
 
 func addBiasLeaky(dst, bias []float64, slope float64) { addBiasLeakyGo(dst, bias, slope) }
 
-func mulAddRows432(dst, b4 []float32, a0, a1, a2, a3 float32) {
-	if len(b4) < 4*len(dst) {
-		panic("mat: mulAddRows432 needs 4*len(dst) b values")
-	}
-	mulAddRows4Go(dst, b4, a0, a1, a2, a3)
+func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
+	pairQuadsGo(dst, x, ys, ts, w, quadFMAGo)
 }
 
 func mulAddRow132(dst, b []float32, a float32) { mulAddRow1Go(dst, b, a) }

@@ -93,18 +93,22 @@ func blockScratch[T float32 | float64](n, w int) [][]T {
 }
 
 // TestPairDecodersScalarPath reruns the decoder tests with the vector
-// kernels off, so the block decode is proven bit-equal to the per-pair
-// one on the scalar path too. DSSDDI_SIMD is read once at start-up, so
-// the rerun takes a fresh process.
+// kernels off, and capped at AVX2, so the block decode is proven
+// bit-equal to the per-pair one on the scalar path and through the
+// AVX2 dispatch too (on an AVX-512 host nothing else runs the latter).
+// DSSDDI_SIMD is read once at start-up, so each rerun takes a fresh
+// process.
 func TestPairDecodersScalarPath(t *testing.T) {
 	if mat.SIMD() == "none" {
 		t.Skip("vector kernels already off")
 	}
-	cmd := exec.Command(os.Args[0], "-test.v", "-test.run=^TestPairDecoder(MatchesBatchedForward|32TracksOracle)$")
-	cmd.Env = append(os.Environ(), "DSSDDI_SIMD=off")
-	out, err := cmd.CombinedOutput()
-	if err != nil || strings.Count(string(out), "--- PASS") != 2 {
-		t.Fatalf("scalar rerun: %v\n%s", err, out)
+	for _, level := range []string{"off", "avx2"} {
+		cmd := exec.Command(os.Args[0], "-test.v", "-test.run=^TestPairDecoder(MatchesBatchedForward|32TracksOracle)$")
+		cmd.Env = append(os.Environ(), "DSSDDI_SIMD="+level)
+		out, err := cmd.CombinedOutput()
+		if err != nil || strings.Count(string(out), "--- PASS") != 2 {
+			t.Fatalf("DSSDDI_SIMD=%s rerun: %v\n%s", level, err, out)
+		}
 	}
 }
 
