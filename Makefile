@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile perfbench
+.PHONY: all build test bench lint fuzz fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile perfbench
 
 all: build lint test
 
@@ -25,6 +25,11 @@ bench:
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+
+# The fuzz target CI runs: Prometheus exposition round trip.
+fuzz:
+	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzWriteProm -fuzztime 20s -fuzzminimizetime 100x
 
 # Train a tiny model, round-trip it through a snapshot, boot the HTTP
 # server on an ephemeral port, smoke every endpoint and record a

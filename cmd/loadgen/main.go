@@ -54,6 +54,8 @@ import (
 
 	"dssddi/internal/benchfmt"
 	"dssddi/internal/obs"
+	"dssddi/internal/router"
+	"dssddi/internal/serve"
 )
 
 type suggestRequest struct {
@@ -332,19 +334,7 @@ func main() {
 	// /metricsz aggregates per-backend stats in a different shape, so
 	// cluster runs skip this rather than record misleading zeros.
 	if !*cluster {
-		var metrics struct {
-			SuggestCache struct {
-				HitRate float64 `json:"hit_rate"`
-			} `json:"suggest_cache"`
-			Batching struct {
-				AvgBatchSize float64 `json:"avg_batch_size"`
-			} `json:"batching"`
-			Memory struct {
-				Precision              string `json:"precision"`
-				ModelBytes             int64  `json:"model_bytes"`
-				RegistryEmbeddingBytes int64  `json:"registry_embedding_bytes"`
-			} `json:"memory"`
-		}
+		var metrics serve.Metrics
 		if err := getJSON(base+"/metricsz", &metrics); err == nil {
 			for i := range benches {
 				benches[i].CacheHitRate = metrics.SuggestCache.HitRate
@@ -414,15 +404,7 @@ func main() {
 		repl.VerifiedRegistrations, lostIDs = auditRegistrations(base, ackedIDs)
 		repl.LostRegistrations = len(lostIDs)
 		if *cluster {
-			var rm struct {
-				ReplicaReads       int64 `json:"replica_reads"`
-				ReadRepairs        int64 `json:"read_repairs"`
-				ReplicationFanouts int64 `json:"replication_fanouts"`
-				QuorumFailures     int64 `json:"quorum_failures"`
-				AntiEntropySyncs   int64 `json:"anti_entropy_syncs"`
-				AntiEntropyRecords int64 `json:"anti_entropy_records"`
-				PinnedUnavailable  int64 `json:"pinned_unavailable"`
-			}
+			var rm router.Metrics
 			if err := getJSON(base+"/metricsz", &rm); err != nil {
 				log.Fatalf("loadgen: -verify-registry: scraping router metrics: %v", err)
 			}

@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-func randSlice32(rng *rand.Rand, n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		v := float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2)))
-		switch rng.Intn(16) {
-		case 0:
-			v = 0
-		case 1:
-			v = -v
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // TestSIMDKernels32Bitwise checks every float32 vector kernel against
 // its scalar reference, bit for bit, across lengths that exercise the
 // eight-lane loops and every tail size.

@@ -22,10 +22,11 @@
 //     integer addition), so the router can sum fleet histograms
 //     without approximation.
 //
-//   - Prometheus text exposition: minimal writers for counters,
-//     gauges and histograms in the text format (version 0.0.4), plus
-//     a parser used by tests and cmd/obscheck to prove scrapes
-//     round-trip.
+//   - Prometheus text exposition: a renderer that writes a tagged
+//     metrics struct (the same value a tier's JSON view encodes) as
+//     counters, gauges and histograms in the text format (version
+//     0.0.4), plus a strict parser used by tests and cmd/obscheck to
+//     prove scrapes round-trip.
 //
 // BuildInfo (git commit + toolchain, via -ldflags -X and
 // debug.ReadBuildInfo), a slog construction helper and a flag-gated

@@ -2,9 +2,13 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,27 +17,160 @@ import (
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// promEscape escapes a label value per the exposition format.
-func promEscape(v string) string {
+// ServeProm answers a Prometheus scrape: a build-identity gauge named
+// buildInfo, then the metrics declared on v (see WriteProm).
+func ServeProm(w http.ResponseWriter, buildInfo string, v any) {
+	b := Build()
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# HELP %s Build identity of the running binary (value is always 1).\n# TYPE %s gauge\n", buildInfo, buildInfo)
+	promLine(&buf, buildInfo, promLabel("commit", b.Short())+","+promLabel("go", b.GoVersion), "1")
+	WriteProm(&buf, v)
+	w.Header().Set("Content-Type", PromContentType)
+	w.Write(buf.Bytes())
+}
+
+// WriteProm writes v, a struct or a pointer to one, in the text
+// exposition format. Field tags declare the metrics, so a struct that
+// is also a JSON document needs no second declaration:
+//
+//	prom:"name,type"  the field is family name, of type counter, gauge
+//	                  or histogram (for a HistogramSnapshot field); a
+//	                  field tagged "-" or untagged is left out
+//	help:"text"       the family's # HELP text
+//	label:"k=v"       on a struct or pointer field: label k="v" on every
+//	                  sample inside it
+//	label:"k"         on a map field: label k carries each key, in
+//	                  sorted order; on a string field: label k carries
+//	                  the string and the sample is 1 (an info gauge)
+//
+// Numbers render as themselves, bools as 0 or 1, and a nil pointer as
+// nothing. Samples collect by family, so each family is one group of
+// lines whatever the order of the fields.
+func WriteProm(w io.Writer, v any) error {
+	e := promWriter{byName: map[string]*promFamily{}}
+	e.walk(reflect.ValueOf(v), "", "")
+	for _, f := range e.families {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s", f.name, f.help, f.name, f.typ, f.body.String()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// promFamily is one family's header fields and its sample lines.
+type promFamily struct {
+	name, typ, help string
+	body            strings.Builder
+}
+
+type promWriter struct {
+	families []*promFamily // in order of first sample
+	byName   map[string]*promFamily
+}
+
+func (e *promWriter) family(name, typ string, tag reflect.StructTag) io.Writer {
+	f := e.byName[name]
+	if f == nil {
+		f = &promFamily{name: name, typ: typ, help: tag.Get("help")}
+		e.byName[name] = f
+		e.families = append(e.families, f)
+	}
+	return &f.body
+}
+
+var histogramType = reflect.TypeFor[HistogramSnapshot]()
+
+// walk renders v, reached through a field with the given tag, with
+// labels (a comma-joined promLabel list) on every sample.
+func (e *promWriter) walk(v reflect.Value, tag reflect.StructTag, labels string) {
+	name, typ, _ := strings.Cut(tag.Get("prom"), ",")
+	label := tag.Get("label")
+	switch {
+	case name == "-":
+	case v.Kind() == reflect.Pointer:
+		if !v.IsNil() {
+			e.walk(v.Elem(), tag, labels)
+		}
+	case v.Type() == histogramType:
+		if name != "" {
+			promHistogram(e.family(name, typ, tag), name, labels, v.Interface().(HistogramSnapshot))
+		}
+	case v.Kind() == reflect.Struct:
+		if k, val, ok := strings.Cut(label, "="); ok {
+			labels = joinLabels(labels, promLabel(k, val))
+		}
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.IsExported() {
+				e.walk(v.Field(i), f.Tag, labels)
+			}
+		}
+	case v.Kind() == reflect.Map:
+		keys := v.MapKeys()
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return strings.Compare(a.String(), b.String()) })
+		for _, k := range keys {
+			e.walk(v.MapIndex(k), tag, joinLabels(labels, promLabel(label, k.String())))
+		}
+	case name == "":
+		// Not a metric: the field is in the JSON view only.
+	default:
+		value := "1" // a string is an info gauge
+		switch {
+		case v.Kind() == reflect.String:
+			labels = joinLabels(labels, promLabel(label, v.String()))
+		case v.Kind() == reflect.Bool:
+			if !v.Bool() {
+				value = "0"
+			}
+		case v.CanInt():
+			value = strconv.FormatInt(v.Int(), 10)
+		case v.CanFloat():
+			value = promValue(v.Float())
+		default:
+			panic("obs: prom tag on a field of type " + v.Type().String())
+		}
+		promLine(e.family(name, typ, tag), name, labels, value)
+	}
+}
+
+// promHistogram writes one label set's series of a histogram family:
+// cumulative _bucket series (le-labelled, ending at +Inf), _sum
+// (seconds) and _count.
+func promHistogram(w io.Writer, name, labels string, s HistogramSnapshot) {
+	var cum int64
+	for i, c := range s.Buckets {
+		cum += c
+		le := promLabel("le", promValue(BucketUpperSeconds(i)))
+		promLine(w, name+"_bucket", joinLabels(labels, le), strconv.FormatInt(cum, 10))
+	}
+	promLine(w, name+"_sum", labels, promValue(float64(s.SumNs)/1e9))
+	promLine(w, name+"_count", labels, strconv.FormatInt(cum, 10))
+}
+
+// promLine writes one sample line.
+func promLine(w io.Writer, name, labels, value string) {
+	if labels != "" {
+		name += "{" + labels + "}"
+	}
+	fmt.Fprintf(w, "%s %s\n", name, value)
+}
+
+// promLabel renders one label pair, escaping the value per the
+// exposition format.
+func promLabel(k, v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
+	return k + `="` + v + `"`
 }
 
-// PromLabel renders one label pair for use in PromSample label lists
-// ("backend=\"127.0.0.1:9001\"").
-func PromLabel(k, v string) string {
-	return k + `="` + promEscape(v) + `"`
+func joinLabels(a, b string) string {
+	if a == "" {
+		return b
+	}
+	return a + "," + b
 }
 
-// PromHeader writes the # HELP / # TYPE preamble for a metric family.
-// typ is "counter", "gauge" or "histogram".
-func PromHeader(w io.Writer, name, typ, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-// promValue renders a sample value.
+// promValue renders a float sample value.
 func promValue(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -44,45 +181,6 @@ func promValue(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// PromSample writes one sample line. labels is a comma-joined list of
-// PromLabel results ("" for none).
-func PromSample(w io.Writer, name, labels string, v float64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, promValue(v))
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %s\n", name, labels, promValue(v))
-}
-
-// PromInt is PromSample for integer counters.
-func PromInt(w io.Writer, name, labels string, v int64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %d\n", name, v)
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %d\n", name, labels, v)
-}
-
-// PromHistogram writes a full histogram family instance: cumulative
-// _bucket series (le-labelled, ending at +Inf), _sum (seconds) and
-// _count. The caller writes the PromHeader once per family; this
-// writes one label-set's series, so per-backend (or per-endpoint)
-// histograms share a family.
-func PromHistogram(w io.Writer, name, labels string, s HistogramSnapshot) {
-	var cum int64
-	for i := 0; i < NumBuckets; i++ {
-		cum += s.Buckets[i]
-		le := PromLabel("le", promValue(BucketUpperSeconds(i)))
-		l := le
-		if labels != "" {
-			l = labels + "," + le
-		}
-		PromInt(w, name+"_bucket", l, cum)
-	}
-	PromSample(w, name+"_sum", labels, float64(s.SumNs)/1e9)
-	PromInt(w, name+"_count", labels, cum)
 }
 
 // PromSeries is one parsed sample: a metric name, its sorted
@@ -141,12 +239,16 @@ func (p *PromSet) Value(name string, want map[string]string) (float64, bool) {
 
 // ParseProm parses the Prometheus text exposition format, strictly
 // enough to prove a scrape is well-formed: every non-comment line
-// must be `name[{labels}] value`, label values must be quoted, and
-// every sample's family must have been declared with # TYPE. It is a
-// validator for our own output (and a test oracle), not a general
-// scraper.
+// must be `name[{labels}] value`, label values must be quoted, every
+// sample's family must have been declared with one # TYPE line, and
+// each family's lines (a histogram's _bucket, _sum and _count
+// included) must form one group. It is a validator for our own output
+// (and a test oracle), not a general scraper.
 func ParseProm(r io.Reader) (*PromSet, error) {
 	set := &PromSet{Types: make(map[string]string)}
+	// current is the family of the last line; ended holds the families
+	// whose group of lines is over and may not resume.
+	current, ended := "", map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -156,33 +258,47 @@ func ParseProm(r io.Reader) (*PromSet, error) {
 		if line == "" {
 			continue
 		}
+		var family string
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
+			switch {
+			case len(fields) >= 4 && fields[1] == "TYPE":
+				if _, dup := set.Types[fields[2]]; dup {
+					return nil, fmt.Errorf("prom: line %d: second # TYPE line for %s", lineNo, fields[2])
+				}
 				set.Types[fields[2]] = fields[3]
-			} else if len(fields) >= 3 && fields[1] == "HELP" {
-				// fine
-			} else if len(fields) >= 2 && (fields[1] == "TYPE" || fields[1] == "HELP") {
+				family = fields[2]
+			case len(fields) >= 3 && fields[1] == "HELP":
+				family = fields[2]
+			case len(fields) >= 2 && (fields[1] == "TYPE" || fields[1] == "HELP"):
 				return nil, fmt.Errorf("prom: line %d: malformed %s comment", lineNo, fields[1])
+			default:
+				continue
 			}
-			continue
-		}
-		s, err := parsePromSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("prom: line %d: %w", lineNo, err)
-		}
-		family := s.Name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			base := strings.TrimSuffix(s.Name, suffix)
-			if base != s.Name && set.Types[base] == "histogram" {
-				family = base
-				break
+		} else {
+			s, err := parsePromSample(line)
+			if err != nil {
+				return nil, fmt.Errorf("prom: line %d: %w", lineNo, err)
 			}
+			family = s.Name
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				base := strings.TrimSuffix(s.Name, suffix)
+				if base != s.Name && set.Types[base] == "histogram" {
+					family = base
+					break
+				}
+			}
+			if _, ok := set.Types[family]; !ok {
+				return nil, fmt.Errorf("prom: line %d: sample %q has no # TYPE declaration", lineNo, s.Name)
+			}
+			set.Series = append(set.Series, s)
 		}
-		if _, ok := set.Types[family]; !ok {
-			return nil, fmt.Errorf("prom: line %d: sample %q has no # TYPE declaration", lineNo, s.Name)
+		if family != current {
+			if ended[family] {
+				return nil, fmt.Errorf("prom: line %d: family %s is split into more than one group", lineNo, family)
+			}
+			ended[current], current = true, family
 		}
-		set.Series = append(set.Series, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -289,41 +289,49 @@ func (rt *Router) backendModel(b *backend) (json.RawMessage, error) {
 	return health.Model, nil
 }
 
+// The /metricsz types below are the one declaration of every router
+// metric: a field's json tag names it in the JSON view and its prom,
+// help and label tags in the Prometheus one (see obs.WriteProm). A
+// value derived from others is tagged prom:"-"; histograms are JSON
+// only through their quantiles.
+
 // BackendMetrics is one pool member's traffic and health counters.
 type BackendMetrics struct {
 	State     string  `json:"state"`
-	Epoch     int64   `json:"epoch"`
-	Requests  int64   `json:"requests"`
-	Errors    int64   `json:"transport_errors"`
-	Retries   int64   `json:"retries"`
-	Ejections int64   `json:"ejections"`
-	P50Ms     float64 `json:"p50_ms"`
-	P90Ms     float64 `json:"p90_ms"`
-	P99Ms     float64 `json:"p99_ms"`
+	Up        bool    `json:"-" prom:"dssddi_router_backend_up,gauge" help:"1 when the backend is in rotation."`
+	Epoch     int64   `json:"epoch" prom:"dssddi_router_backend_epoch,gauge" help:"Serving epoch last reported by the backend."`
+	Requests  int64   `json:"requests" prom:"dssddi_router_backend_requests_total,counter" help:"Proxy attempts sent to the backend."`
+	Errors    int64   `json:"transport_errors" prom:"dssddi_router_backend_transport_errors_total,counter" help:"Transport failures of proxy attempts."`
+	Retries   int64   `json:"retries" prom:"dssddi_router_backend_retries_total,counter" help:"Proxy attempts to the backend that were retries of a failed one."`
+	Ejections int64   `json:"ejections" prom:"dssddi_router_backend_ejections_total,counter" help:"Times the backend was ejected from rotation."`
+	P50Ms     float64 `json:"p50_ms" prom:"-"`
+	P90Ms     float64 `json:"p90_ms" prom:"-"`
+	P99Ms     float64 `json:"p99_ms" prom:"-"`
 	// RoutedKeys counts requests whose routing key this backend owned;
 	// KeyShare is its observed fraction, RingShare the fraction of the
 	// hash circle it owns (the expected share). Divergence between the
 	// two is either skew in the workload's patient mix or a bug in the
 	// ring.
-	RoutedKeys int64   `json:"routed_keys"`
-	KeyShare   float64 `json:"key_share"`
-	RingShare  float64 `json:"ring_share"`
+	RoutedKeys int64                 `json:"routed_keys" prom:"dssddi_router_backend_routed_keys_total,counter" help:"Routed requests whose key the backend owned."`
+	KeyShare   float64               `json:"key_share" prom:"-"`
+	RingShare  float64               `json:"ring_share" prom:"dssddi_router_backend_ring_share,gauge" help:"Fraction of the hash ring the backend owns."`
+	Latency    obs.HistogramSnapshot `json:"-" prom:"dssddi_router_backend_duration_seconds,histogram" help:"Proxy attempt latency by backend."`
 }
 
 // Metrics is the router's /metricsz payload.
 type Metrics struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Requests      int64   `json:"requests"`
-	ProxyErrors   int64   `json:"proxy_errors"`
-	Retries       int64   `json:"retries"`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"dssddi_router_uptime_seconds,gauge" help:"Seconds since the router booted."`
+	Requests      int64   `json:"requests" prom:"dssddi_router_requests_total,counter" help:"Routed requests."`
+	ProxyErrors   int64   `json:"proxy_errors" prom:"dssddi_router_proxy_errors_total,counter" help:"Requests answered 502/503/504 by the router itself."`
+	Retries       int64   `json:"retries" prom:"dssddi_router_retries_total,counter" help:"Proxy attempts that were retries of a failed one."`
 	// PinnedUnavailable counts 503s where a pinned patient's owning
 	// shard was out of rotation (no failover possible); DeadlineExhausted
 	// counts 504s where the request budget ran out before any backend
 	// answered.
-	PinnedUnavailable int64 `json:"pinned_unavailable"`
-	DeadlineExhausted int64 `json:"deadline_exhausted"`
-	Rollouts          int64 `json:"rollouts"`
-	RolloutFailures   int64 `json:"rollout_failures"`
+	PinnedUnavailable int64 `json:"pinned_unavailable" prom:"dssddi_router_pinned_unavailable_total,counter" help:"Pinned-key 503s: the owning shard was out of rotation."`
+	DeadlineExhausted int64 `json:"deadline_exhausted" prom:"dssddi_router_deadline_exhausted_total,counter" help:"504s: the request budget ran out before any backend answered."`
+	Rollouts          int64 `json:"rollouts" prom:"dssddi_router_rollouts_total,counter" help:"Fleet rollouts attempted."`
+	RolloutFailures   int64 `json:"rollout_failures" prom:"dssddi_router_rollout_failures_total,counter" help:"Fleet rollouts aborted."`
 	// Replication counters (all zero when ReplicationFactor is 1):
 	// ReplicaReads counts registered-patient reads served by a
 	// non-owner group member, ReadRepairs the stale replicas refreshed
@@ -331,21 +339,24 @@ type Metrics struct {
 	// out for acknowledged writes, QuorumFailures the mutations refused
 	// for too few acks, and AntiEntropySyncs / AntiEntropyRecords the
 	// reconciliation rounds run for recovering backends and the records
-	// they moved.
-	ReplicaReads       int64                     `json:"replica_reads"`
-	ReadRepairs        int64                     `json:"read_repairs"`
-	ReplicationFanouts int64                     `json:"replication_fanouts"`
-	QuorumFailures     int64                     `json:"quorum_failures"`
-	AntiEntropySyncs   int64                     `json:"anti_entropy_syncs"`
-	AntiEntropyRecords int64                     `json:"anti_entropy_records"`
-	Backends           map[string]BackendMetrics `json:"backends"`
+	// they moved. ReplicationLag is the owner-ack to replica-ack time.
+	ReplicaReads       int64                     `json:"replica_reads" prom:"dssddi_router_replica_reads_total,counter" help:"Registered-patient reads served by a non-owner replica."`
+	ReadRepairs        int64                     `json:"read_repairs" prom:"dssddi_router_read_repairs_total,counter" help:"Stale replicas refreshed in the background (failover reads and failed fan-out applies)."`
+	ReplicationFanouts int64                     `json:"replication_fanouts" prom:"dssddi_router_replication_fanouts_total,counter" help:"Replica applies fanned out for acknowledged registry writes."`
+	QuorumFailures     int64                     `json:"quorum_failures" prom:"dssddi_router_quorum_failures_total,counter" help:"Registry mutations refused because the write quorum was not met."`
+	AntiEntropySyncs   int64                     `json:"anti_entropy_syncs" prom:"dssddi_router_anti_entropy_syncs_total,counter" help:"Anti-entropy reconciliation rounds run for recovering backends."`
+	AntiEntropyRecords int64                     `json:"anti_entropy_records" prom:"dssddi_router_anti_entropy_records_total,counter" help:"Records moved by anti-entropy and read repair pushes."`
+	ReplicationLag     obs.HistogramSnapshot     `json:"-" prom:"dssddi_router_replication_lag_seconds,histogram" help:"Owner-ack to replica-ack fan-out latency."`
+	Backends           map[string]BackendMetrics `json:"backends" label:"backend"`
+	// Fleet is the exact bucket-wise sum of the backends' Latency
+	// histograms: the shared bucket layout makes the merge integer
+	// addition, so the fleet _count equals the sum of the backend ones.
+	Fleet obs.HistogramSnapshot `json:"-" prom:"dssddi_router_fleet_duration_seconds,histogram" help:"Proxy attempt latency across the whole fleet (exact bucket-wise sum of the per-backend histograms)."`
 }
 
+// handleMetricsz serves one snapshot of the metrics as JSON, or as the
+// Prometheus text format with ?format=prometheus.
 func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		rt.writePromMetrics(w)
-		return
-	}
 	shares := rt.ring.Shares()
 	total := rt.requests.Load()
 	m := Metrics{
@@ -363,27 +374,37 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		QuorumFailures:     rt.quorumFailures.Load(),
 		AntiEntropySyncs:   rt.antiEntropySyncs.Load(),
 		AntiEntropyRecords: rt.antiEntropyRecords.Load(),
+		ReplicationLag:     rt.replLag.Snapshot(),
 		Backends:           make(map[string]BackendMetrics, len(rt.order)),
 	}
 	for _, name := range rt.order {
 		b := rt.backends[name]
 		state, _, ejections := b.health.snapshot()
+		lat := b.lat.Snapshot()
+		m.Fleet.Add(lat)
 		bm := BackendMetrics{
 			State:      state.String(),
+			Up:         state == stateHealthy,
 			Epoch:      b.epoch.Load(),
 			Requests:   b.requests.Load(),
 			Errors:     b.errors.Load(),
 			Retries:    b.retries.Load(),
 			Ejections:  ejections,
+			P50Ms:      lat.QuantileMs(0.50),
+			P90Ms:      lat.QuantileMs(0.90),
+			P99Ms:      lat.QuantileMs(0.99),
 			RoutedKeys: b.routedKeys.Load(),
 			RingShare:  shares[name],
+			Latency:    lat,
 		}
-		lat := b.lat.Snapshot()
-		bm.P50Ms, bm.P90Ms, bm.P99Ms = lat.QuantileMs(0.50), lat.QuantileMs(0.90), lat.QuantileMs(0.99)
 		if total > 0 {
 			bm.KeyShare = float64(bm.RoutedKeys) / float64(total)
 		}
 		m.Backends[name] = bm
+	}
+	if r.URL.Query().Get("format") == "prometheus" {
+		obs.ServeProm(w, "dssddi_router_build_info", m)
+		return
 	}
 	writeJSON(w, http.StatusOK, m)
 }

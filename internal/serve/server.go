@@ -1057,10 +1057,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, ep *servi
 	})
 }
 
+// handleMetricsz serves one snapshot of the metrics as JSON, or as the
+// Prometheus text format with ?format=prometheus.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *servingEpoch) int {
-	if r.URL.Query().Get("format") == "prometheus" {
-		return s.writePromMetrics(w, ep)
-	}
 	batches, requests := ep.batcher.Stats()
 	m := Metrics{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -1081,6 +1080,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 			Reembeds:       s.patients.reembeds.Load(),
 			ReplicaApplies: s.patients.replicaApplies.Load(),
 			ReplicaStale:   s.patients.replicaStale.Load(),
+			ApplyLatency:   s.patients.applyLat.Snapshot(),
 		},
 		DeadlineTimeouts: s.deadlineTimeouts.Load(),
 	}
@@ -1108,10 +1108,15 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 			Checkpoints:        st.checkpoints.Load(),
 			CheckpointFailures: st.ckptFailures.Load(),
 			PendingRecords:     st.pending.Load(),
+			AppendLatency:      st.log.AppendLatency(),
 		}
 		if m.WAL.SyncPolicy == "" {
 			m.WAL.SyncPolicy = "interval"
 		}
+	}
+	if r.URL.Query().Get("format") == "prometheus" {
+		obs.ServeProm(w, "dssddi_build_info", m)
+		return http.StatusOK
 	}
 	return writeJSON(w, http.StatusOK, m)
 }
