@@ -50,7 +50,7 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", time.Second, "active health-check cadence")
 		failAfter     = flag.Int("fail-after", 3, "consecutive transport failures before a backend is ejected")
 		cooldown      = flag.Duration("cooldown", 2*time.Second, "how long an ejected backend sits out before a half-open trial")
-		retries       = flag.Int("retries", 2, "max retries for idempotent reads after a transport failure (writes never retry)")
+		retries       = flag.Int("retries", 2, "max retries after a transport failure, for reads and for full-replace PUT and DELETE (PATCH never retries)")
 		retryBackoff  = flag.Duration("retry-backoff", 25*time.Millisecond, "initial retry backoff, doubling per attempt")
 		timeout       = flag.Duration("timeout", 10*time.Second, "per-attempt backend request timeout")
 		budget        = flag.Duration("budget", 0, "end-to-end request budget across attempts and backoffs; each attempt stamps the remainder onto the backend as X-Deadline-Ms (0 = 2x -timeout)")

@@ -185,23 +185,13 @@ func (rt *Router) rolloutOne(b *backend, path string, canary bool, fleetModel *j
 }
 
 // backendEpoch reads one backend's current epoch from its /healthz.
+// Only a transport failure is a health signal.
 func (rt *Router) backendEpoch(b *backend) (int64, error) {
-	resp, err := b.client.Get(b.base + "/healthz")
-	if err != nil {
-		rt.noteFailure(b, "healthz", err)
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
 	var health struct {
 		Epoch int64 `json:"epoch"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health); err != nil {
-		return 0, err
-	}
-	return health.Epoch, nil
+	err := rt.call(b, "healthz", http.MethodGet, "/healthz", nil, &health)
+	return health.Epoch, err
 }
 
 func truncate(b []byte, n int) string {
@@ -271,22 +261,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // backendModel fetches the model block from one backend's /healthz.
+// No failure is a health signal.
 func (rt *Router) backendModel(b *backend) (json.RawMessage, error) {
-	resp, err := b.client.Get(b.base + "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
 	var health struct {
 		Model json.RawMessage `json:"model"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health); err != nil {
-		return nil, err
-	}
-	return health.Model, nil
+	err := rt.call(b, "", http.MethodGet, "/healthz", nil, &health)
+	return health.Model, err
 }
 
 // The /metricsz types below are the one declaration of every router

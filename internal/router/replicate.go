@@ -1,20 +1,15 @@
 package router
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dssddi/internal/obs"
 	"dssddi/internal/regproto"
 )
 
@@ -45,87 +40,6 @@ func (rt *Router) replicaGroup(key string) []string {
 	return rt.ring.Successors(key, rt.cfg.ReplicationFactor)
 }
 
-// capturedResponse is one fully-buffered backend response — the
-// replication paths inspect status (404-failover, quorum decisions)
-// before anything is relayed to the client.
-type capturedResponse struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// proxyCapture sends one attempt to one backend and buffers the whole
-// response. Transport failures feed the health machine and return an
-// error; any HTTP response is a successful proxy. extra headers (e.g.
-// X-Replicate) are stamped onto the backend request.
-func (rt *Router) proxyCapture(r *http.Request, tr *obs.Trace, b *backend, body []byte, remaining time.Duration, extra http.Header) (*capturedResponse, error) {
-	b.requests.Add(1)
-	url := b.base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	attemptTimeout := rt.cfg.Timeout
-	if remaining < attemptTimeout {
-		attemptTimeout = remaining
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), attemptTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, r.Method, url, reader)
-	if err != nil {
-		b.errors.Add(1)
-		return nil, err
-	}
-	copyProxyHeaders(req.Header, r.Header)
-	for k, vs := range extra {
-		req.Header[k] = vs
-	}
-	req.Header.Set(deadlineHeader, strconv.FormatInt(attemptTimeout.Milliseconds(), 10))
-	t0 := time.Now()
-	resp, err := b.client.Do(req)
-	lat := time.Since(t0)
-	if tr != nil {
-		tr.SpanAt("proxy:"+b.name, t0, t0.Add(lat))
-	}
-	if err != nil {
-		b.errors.Add(1)
-		tr.Eventf("backend %s failed: %v", b.name, err)
-		rt.noteFailure(b, "proxy", err)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
-	if err == nil && resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
-		err = fmt.Errorf("short body: %d of %d bytes", len(raw), resp.ContentLength)
-	}
-	if err != nil {
-		b.errors.Add(1)
-		rt.noteFailure(b, "proxy", err)
-		return nil, err
-	}
-	b.lat.Observe(lat)
-	rt.noteSuccess(b)
-	tr.SetBackend(b.name)
-	return &capturedResponse{status: resp.StatusCode, header: resp.Header, body: raw}, nil
-}
-
-// relayCaptured writes a buffered backend response to the client.
-func relayCaptured(w http.ResponseWriter, cr *capturedResponse, backendName string) {
-	h := w.Header()
-	for k, vs := range cr.header {
-		if isHopByHop(k) {
-			continue
-		}
-		h[k] = vs
-	}
-	h.Set("X-Backend", backendName)
-	w.WriteHeader(cr.status)
-	w.Write(cr.body)
-}
-
 // forwardPinnedRead serves a registered-patient read from the key's
 // replica group: the owner first, then successors. A member that is
 // out of rotation is skipped; a transport failure moves on (and feeds
@@ -134,20 +48,21 @@ func relayCaptured(w http.ResponseWriter, cr *capturedResponse, backendName stri
 // replicas are stale and get read-repaired in the background. Only
 // when every reachable member says 404 is the patient genuinely
 // unregistered.
-func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *obs.Trace, body []byte, key string, group []string, deadline time.Time) {
+func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, rq routed, body []byte, key string) {
 	id := strings.TrimPrefix(key, "p|")
+	tr, group := rq.tr, rq.candidates
 	backoff := rt.cfg.RetryBackoff
 	var notFound *capturedResponse
 	var notFoundFrom string
 	var stale []string // members that answered 404 before a hit
-	var lastErr error
+	var last *backend
 
 	// One pass over the group, then MaxRetries extra passes with
 	// backoff for the case where every member failed at transport
 	// level (e.g. the whole group is mid-restart).
 	for pass := 0; pass <= rt.cfg.MaxRetries; pass++ {
 		if pass > 0 {
-			remaining := time.Until(deadline)
+			remaining := time.Until(rq.deadline)
 			if remaining <= 0 || backoff >= remaining {
 				break
 			}
@@ -162,14 +77,14 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *
 			if !b.health.Healthy() && pass == 0 {
 				continue // ejected members reconcile before serving reads
 			}
-			remaining := time.Until(deadline)
+			remaining := time.Until(rq.deadline)
 			if remaining <= 0 {
 				break
 			}
 			tried++
 			cr, err := rt.proxyCapture(r, tr, b, body, remaining, nil)
 			if err != nil {
-				lastErr = fmt.Errorf("backend %s unreachable", b.name)
+				last = b
 				if pass > 0 {
 					b.retries.Add(1)
 				}
@@ -204,26 +119,7 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, tr *
 		relayCaptured(w, notFound, notFoundFrom)
 		return
 	}
-	rt.proxyErrors.Add(1)
-	if !rt.anyHealthy(group) {
-		owner := rt.backends[group[0]]
-		rt.pinnedUnavailable.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(owner.health.RetryAfter(time.Now())))
-		writeJSON(w, http.StatusServiceUnavailable, apiError{
-			Error: fmt.Sprintf("router: backend %s owning this patient is out of rotation", owner.name),
-		})
-		return
-	}
-	if time.Until(deadline) <= 0 {
-		rt.deadlineExhausted.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request budget exhausted"})
-		return
-	}
-	msg := "router: request failed"
-	if lastErr != nil {
-		msg = "router: " + lastErr.Error()
-	}
-	writeJSON(w, http.StatusBadGateway, apiError{Error: msg})
+	rt.writeUnrouted(w, rq, last)
 }
 
 // withRetry runs f up to attempts times, sleeping a doubling backoff
@@ -250,26 +146,6 @@ func withRetry(attempts int, backoff time.Duration, f func() error) error {
 // while surviving several consecutive connection-level faults.
 const repairAttempts = 6
 
-// syncRecordsRetry is syncRecords with transient-failure retries.
-func (rt *Router) syncRecordsRetry(b *backend, req regproto.SyncRequest, attempts int) ([]regproto.Record, error) {
-	var recs []regproto.Record
-	err := withRetry(attempts, rt.cfg.RetryBackoff, func() (e error) {
-		recs, e = rt.syncRecords(b, req)
-		return
-	})
-	return recs, err
-}
-
-// fetchDigestRetry is fetchDigest with transient-failure retries.
-func (rt *Router) fetchDigestRetry(b *backend, attempts int) (*regproto.DigestResponse, error) {
-	var dr *regproto.DigestResponse
-	err := withRetry(attempts, rt.cfg.RetryBackoff, func() (e error) {
-		dr, e = rt.fetchDigest(b)
-		return
-	})
-	return dr, err
-}
-
 // scheduleReadRepair refreshes replicas that missed a record, pulling
 // the canonical copy from the member that served the read and applying
 // it (version-gated, so a concurrent newer write always wins) to the
@@ -280,16 +156,13 @@ func (rt *Router) scheduleReadRepair(id, from string, stale []string) {
 	rt.repairWG.Add(1)
 	go func() {
 		defer rt.repairWG.Done()
-		recs, err := rt.syncRecordsRetry(rt.backends[from], regproto.SyncRequest{IDs: []string{id}}, repairAttempts)
+		recs, err := rt.syncRecords(rt.backends[from], regproto.SyncRequest{IDs: []string{id}})
 		if err != nil || len(recs) == 0 {
 			return
 		}
 		repaired := false
 		for _, name := range targets {
-			b := rt.backends[name]
-			if withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
-				return rt.applyRecords(b, recs)
-			}) == nil {
+			if rt.applyRecords(rt.backends[name], recs, repairAttempts) == nil {
 				repaired = true
 			}
 		}
@@ -311,10 +184,7 @@ func (rt *Router) scheduleReplicaRepair(b *backend, rec regproto.Record) {
 	rt.repairWG.Add(1)
 	go func() {
 		defer rt.repairWG.Done()
-		err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
-			return rt.applyRecords(b, []regproto.Record{rec})
-		})
-		if err != nil {
+		if err := rt.applyRecords(b, []regproto.Record{rec}, repairAttempts); err != nil {
 			if rt.logger != nil {
 				rt.logger.Warn("replica repair abandoned", "backend", b.name, "patient", rec.ID, "version", rec.Version, "err", err)
 			}
@@ -328,101 +198,23 @@ func (rt *Router) scheduleReplicaRepair(b *backend, rec regproto.Record) {
 // the acting owner (first in-rotation group member) assigns the
 // record's version and WAL-logs it, the router fans the echoed record
 // out to the rest of the group, and the client is acknowledged once
-// the available-bounded write quorum holds the record. Full-replace
-// PUT and DELETE retry across the group on transport failure —
-// replaying them is safe under last-writer-wins; PATCH stays
-// single-shot.
+// the available-bounded write quorum holds the record. The acting
+// owner is found by the attempt walk over the group: full-replace PUT
+// and DELETE retry on transport failure — replaying them is safe under
+// last-writer-wins; PATCH stays single-shot.
 func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request, body []byte, id string) {
-	rt.requests.Add(1)
-	tr := obs.FromContext(r.Context())
-	key := registeredKey(id)
-	group := rt.replicaGroup(key)
-	if len(group) == 0 {
-		rt.proxyErrors.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "router: no backends"})
+	rq, ok := rt.route(w, r, registeredKey(id), true)
+	if !ok {
 		return
 	}
-	rt.backends[group[0]].routedKeys.Add(1)
-	deadline, expired := rt.requestDeadline(r)
-	if expired {
-		rt.proxyErrors.Add(1)
-		rt.deadlineExhausted.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request deadline already expired"})
-		return
-	}
-
-	attempts := 1
+	tr, group := rq.tr, rq.candidates
+	tries := 1
 	if r.Method != http.MethodPatch {
-		attempts += rt.cfg.MaxRetries
+		tries += rt.cfg.MaxRetries
 	}
-	extra := http.Header{}
-	extra.Set(regproto.ReplicateHeader, "1")
-	backoff := rt.cfg.RetryBackoff
-	var resp *capturedResponse
-	var acting *backend
-	var lastErr error
-	cursor := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			break
-		}
-		var b *backend
-		for n := 0; n < len(group); n++ {
-			cand := rt.backends[group[(cursor+n)%len(group)]]
-			if cand.health.Healthy() {
-				b = cand
-				cursor = (cursor + n) % len(group)
-				break
-			}
-		}
-		if b == nil {
-			b = rt.backends[group[cursor%len(group)]]
-		}
-		if attempt > 0 {
-			if backoff >= remaining {
-				break
-			}
-			tr.Eventf("write retry %d: backoff %s then backend %s", attempt, backoff, b.name)
-			time.Sleep(backoff)
-			backoff *= 2
-			b.retries.Add(1)
-			rt.retriesTotal.Add(1)
-			if remaining = time.Until(deadline); remaining <= 0 {
-				break
-			}
-		}
-		cr, err := rt.proxyCapture(r, tr, b, body, remaining, extra)
-		if err != nil {
-			lastErr = fmt.Errorf("backend %s unreachable", b.name)
-			cursor++
-			continue
-		}
-		resp, acting = cr, b
-		break
-	}
-
+	resp, acting := rt.attempt(r, rq, body, tries, http.Header{regproto.ReplicateHeader: {"1"}})
 	if resp == nil {
-		rt.proxyErrors.Add(1)
-		if !rt.anyHealthy(group) {
-			owner := rt.backends[group[0]]
-			rt.pinnedUnavailable.Add(1)
-			w.Header().Set("Retry-After", retryAfterSeconds(owner.health.RetryAfter(time.Now())))
-			writeJSON(w, http.StatusServiceUnavailable, apiError{
-				Error: fmt.Sprintf("router: backend %s owning this patient is out of rotation", owner.name),
-			})
-			return
-		}
-		if time.Until(deadline) <= 0 {
-			rt.deadlineExhausted.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request budget exhausted"})
-			return
-		}
-		msg := "router: request failed"
-		if lastErr != nil {
-			msg = "router: " + lastErr.Error()
-		}
-		writeJSON(w, http.StatusBadGateway, apiError{Error: msg})
+		rt.writeUnrouted(w, rq, acting)
 		return
 	}
 	if resp.status >= 300 {
@@ -457,7 +249,7 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 			wg.Add(1)
 			go func(b *backend) {
 				defer wg.Done()
-				if err := rt.applyRecords(b, []regproto.Record{*echo.Record}); err != nil {
+				if err := rt.applyRecords(b, []regproto.Record{*echo.Record}, 1); err != nil {
 					tr.Eventf("replica %s apply failed: %v", b.name, err)
 					// The ack already stands (available-bounded quorum);
 					// restore this member's copy off the request path.
@@ -490,65 +282,36 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 	relayCaptured(w, resp, acting.name)
 }
 
-// applyRecords pushes records to one backend's replica-apply endpoint.
-// Transport failures feed the health machine; a non-200 (the backend
-// refused the batch) is an error without being a health signal.
-func (rt *Router) applyRecords(b *backend, recs []regproto.Record) error {
-	body, err := json.Marshal(regproto.ApplyRequest{Records: recs})
-	if err != nil {
-		return err
-	}
-	resp, err := b.client.Post(b.base+"/v1/admin/registry/apply", "application/json", bytes.NewReader(body))
-	if err != nil {
-		rt.noteFailure(b, "replica apply", err)
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("apply returned %d", resp.StatusCode)
-	}
-	return nil
+// applyRecords pushes records to one backend's replica-apply endpoint,
+// trying up to attempts times. Transport failures feed the health
+// machine; a non-200 (the backend refused the batch) is an error
+// without being a health signal.
+func (rt *Router) applyRecords(b *backend, recs []regproto.Record, attempts int) error {
+	return withRetry(attempts, rt.cfg.RetryBackoff, func() error {
+		return rt.call(b, "replica apply", http.MethodPost, "/v1/admin/registry/apply", regproto.ApplyRequest{Records: recs}, nil)
+	})
 }
 
-// syncRecords pulls records from one backend. An empty request pulls
-// the full registry (tombstones included).
+// syncRecords pulls records from one backend, retrying transient
+// failures. An empty request pulls the full registry (tombstones
+// included).
 func (rt *Router) syncRecords(b *backend, req regproto.SyncRequest) ([]regproto.Record, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := b.client.Post(b.base+"/v1/admin/registry/sync", "application/json", bytes.NewReader(body))
-	if err != nil {
-		rt.noteFailure(b, "registry sync", err)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		return nil, fmt.Errorf("sync returned %d", resp.StatusCode)
-	}
 	var sr regproto.SyncResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&sr); err != nil {
+	if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
+		return rt.call(b, "registry sync", http.MethodPost, "/v1/admin/registry/sync", req, &sr)
+	}); err != nil {
 		return nil, err
 	}
 	return sr.Records, nil
 }
 
-// fetchDigest reads one backend's per-shard registry digests.
+// fetchDigest reads one backend's per-shard registry digests, retrying
+// transient failures.
 func (rt *Router) fetchDigest(b *backend) (*regproto.DigestResponse, error) {
-	resp, err := b.client.Get(b.base + "/v1/admin/registry/digest")
-	if err != nil {
-		rt.noteFailure(b, "registry digest", err)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		return nil, fmt.Errorf("digest returned %d", resp.StatusCode)
-	}
 	var dr regproto.DigestResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&dr); err != nil {
+	if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
+		return rt.call(b, "registry digest", http.MethodGet, "/v1/admin/registry/digest", nil, &dr)
+	}); err != nil {
 		return nil, err
 	}
 	return &dr, nil
@@ -570,13 +333,13 @@ func (rt *Router) reconcile(b *backend) error {
 		if p == b || !p.health.Healthy() {
 			continue
 		}
-		recs, err := rt.syncRecordsRetry(p, regproto.SyncRequest{}, repairAttempts)
+		recs, err := rt.syncRecords(p, regproto.SyncRequest{})
 		if err != nil {
 			return fmt.Errorf("pulling from peer %s: %w", p.name, err)
 		}
 		regproto.Merge(merged, recs)
 	}
-	own, err := rt.syncRecordsRetry(b, regproto.SyncRequest{}, repairAttempts)
+	own, err := rt.syncRecords(b, regproto.SyncRequest{})
 	if err != nil {
 		return fmt.Errorf("pulling from rejoiner: %w", err)
 	}
@@ -601,10 +364,7 @@ func (rt *Router) reconcile(b *backend) error {
 		}
 		for name, batch := range perPeer {
 			sort.Slice(batch, func(i, j int) bool { return batch[i].ID < batch[j].ID })
-			peer := rt.backends[name]
-			if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
-				return rt.applyRecords(peer, batch)
-			}); err != nil {
+			if err := rt.applyRecords(rt.backends[name], batch, repairAttempts); err != nil {
 				return fmt.Errorf("pushing %d records to %s: %w", len(batch), name, err)
 			}
 			pushed += len(batch)
@@ -631,9 +391,7 @@ func (rt *Router) reconcile(b *backend) error {
 	}
 	if len(inward) > 0 {
 		sort.Slice(inward, func(i, j int) bool { return inward[i].ID < inward[j].ID })
-		if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
-			return rt.applyRecords(b, inward)
-		}); err != nil {
+		if err := rt.applyRecords(b, inward, repairAttempts); err != nil {
 			return fmt.Errorf("pushing %d records to rejoiner: %w", len(inward), err)
 		}
 		pushed += len(inward)
@@ -643,7 +401,7 @@ func (rt *Router) reconcile(b *backend) error {
 	// Convergence gate: the rejoiner's digests must match, shard for
 	// shard, the digests of exactly the records its groups own.
 	want := regproto.DigestShards(expected)
-	got, err := rt.fetchDigestRetry(b, repairAttempts)
+	got, err := rt.fetchDigest(b)
 	if err != nil {
 		return fmt.Errorf("verifying digest: %w", err)
 	}
@@ -713,7 +471,7 @@ func (rt *Router) handleRegistryVerify(w http.ResponseWriter, _ *http.Request) {
 			resp.Backends = append(resp.Backends, VerifyBackend{Backend: name, State: rt.stateOf(name), OK: true})
 			continue
 		}
-		recs, err := rt.syncRecordsRetry(b, regproto.SyncRequest{}, repairAttempts)
+		recs, err := rt.syncRecords(b, regproto.SyncRequest{})
 		if err != nil {
 			resp.OK = false
 			resp.Backends = append(resp.Backends, VerifyBackend{Backend: name, State: rt.stateOf(name), Error: err.Error()})
@@ -722,11 +480,10 @@ func (rt *Router) handleRegistryVerify(w http.ResponseWriter, _ *http.Request) {
 		healthy[name] = recs
 		regproto.Merge(merged, recs)
 	}
-	for id, rec := range merged {
+	for _, rec := range merged {
 		if !rec.Deleted {
 			resp.Records++
 		}
-		_ = id
 	}
 	for _, name := range rt.order {
 		recs, ok := healthy[name]
@@ -740,7 +497,7 @@ func (rt *Router) handleRegistryVerify(w http.ResponseWriter, _ *http.Request) {
 				expected = append(expected, rec)
 			}
 		}
-		got, err := rt.fetchDigestRetry(rt.backends[name], repairAttempts)
+		got, err := rt.fetchDigest(rt.backends[name])
 		if err != nil {
 			vb.OK, vb.Error = false, err.Error()
 		} else if err := diffDigests(regproto.DigestShards(expected), got.Shards); err != nil {

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -168,4 +169,60 @@ func TestRingEmptyAndSingle(t *testing.T) {
 			t.Fatalf("single-node ring routed %q to %q", k, got)
 		}
 	}
+}
+
+// FuzzRing checks the ring over arbitrary member sets (the
+// comma-separated names, deduplicated, empties dropped), small vnode
+// counts and keys: Successors returns min(n, Len) distinct members,
+// owner first; a shorter walk is a prefix of the full one, which is
+// what lets the router cut one candidate list down to a replica
+// group; and removing any member but the owner leaves the owner
+// unchanged.
+func FuzzRing(f *testing.F) {
+	f.Fuzz(func(t *testing.T, members string, vnodes int, key string, n int) {
+		var names []string
+		seen := map[string]bool{}
+		for _, name := range strings.Split(members, ",") {
+			if name != "" && !seen[name] && len(names) < 12 {
+				seen[name] = true
+				names = append(names, name)
+			}
+		}
+		if len(names) == 0 {
+			t.Skip("no members")
+		}
+		vn := int(uint(vnodes)%16) + 1
+		n = int(uint(n) % uint(len(names)+2)) // 0 through Len+1
+		r := ringOf(vn, names...)
+		owner := r.Lookup(key)
+		full := r.Successors(key, r.Len())
+		got := r.Successors(key, n)
+
+		if want := min(n, r.Len()); len(got) != want {
+			t.Fatalf("Successors(%q, %d) over %d members = %v, want %d members", key, n, r.Len(), got, want)
+		}
+		distinct := map[string]bool{}
+		for i, m := range got {
+			if distinct[m] || !seen[m] {
+				t.Fatalf("Successors(%q, %d) = %v: member %q repeated or unknown", key, n, got, m)
+			}
+			distinct[m] = true
+			if m != full[i] {
+				t.Fatalf("Successors(%q, %d) = %v is not a prefix of the full walk %v", key, n, got, full)
+			}
+		}
+		if full[0] != owner {
+			t.Fatalf("full walk %v does not start at the owner %q", full, owner)
+		}
+		for _, gone := range names {
+			if gone == owner {
+				continue
+			}
+			r.Remove(gone)
+			if after := r.Lookup(key); after != owner {
+				t.Fatalf("removing %q moved key %q from %q to %q", gone, key, owner, after)
+			}
+			r.Add(gone)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,8 +49,10 @@ type Config struct {
 	// Cooldown is how long an ejected backend sits out before a
 	// half-open trial probe (default 2s).
 	Cooldown time.Duration
-	// MaxRetries bounds additional attempts for idempotent reads after
-	// a transport failure (default 2). Writes never retry.
+	// MaxRetries bounds additional attempts after a transport failure
+	// (default 2). Reads retry, and so do full-replace PUT and DELETE of
+	// a registered patient, which converge to the same record when
+	// replayed; PATCH merges and never retries.
 	MaxRetries int
 	// RetryBackoff is the initial backoff before a retry, doubling per
 	// attempt (default 25ms).
@@ -67,7 +70,8 @@ type Config struct {
 	// (default 256).
 	MaxIdleConns int
 	// MaxBodyBytes bounds buffered request bodies (default 1<<20,
-	// matching the backends' own request cap).
+	// matching the backends' own request cap). It bounds request bodies
+	// only: a backend's response is relayed whole.
 	MaxBodyBytes int64
 
 	// TraceSample is the fraction of routed requests recorded into the
@@ -238,36 +242,15 @@ func (rt *Router) probeLoop() {
 				b := rt.backends[name]
 				switch {
 				case b.health.Healthy():
-					rt.probe(b)
+					if rt.probe(b, "probe") {
+						rt.noteSuccess(b)
+					}
 				case b.health.ProbeDue(time.Now()):
 					rt.trial(b)
 				}
 			}
 		}
 	}
-}
-
-// probe hits one backend's /healthz. A 200 with a parsable epoch is
-// success; anything else (transport error or bad status) counts
-// toward ejection.
-func (rt *Router) probe(b *backend) {
-	resp, err := b.client.Get(b.base + "/healthz")
-	if err != nil {
-		rt.noteFailure(b, "probe", err)
-		return
-	}
-	var health struct {
-		Epoch int64 `json:"epoch"`
-	}
-	decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || decErr != nil {
-		rt.noteFailure(b, "probe", fmt.Errorf("healthz status %d (decode: %v)", resp.StatusCode, decErr))
-		return
-	}
-	b.epoch.Store(health.Epoch)
-	rt.noteSuccess(b)
 }
 
 // trial is the half-open recovery probe for an ejected backend. Under
@@ -277,22 +260,9 @@ func (rt *Router) probe(b *backend) {
 // convergence — before it takes traffic again. A failed trial or a
 // failed reconcile re-ejects for a fresh cooldown.
 func (rt *Router) trial(b *backend) {
-	resp, err := b.client.Get(b.base + "/healthz")
-	if err != nil {
-		rt.noteFailure(b, "trial", err)
+	if !rt.probe(b, "trial") {
 		return
 	}
-	var health struct {
-		Epoch int64 `json:"epoch"`
-	}
-	decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || decErr != nil {
-		rt.noteFailure(b, "trial", fmt.Errorf("healthz status %d (decode: %v)", resp.StatusCode, decErr))
-		return
-	}
-	b.epoch.Store(health.Epoch)
 	if rt.cfg.ReplicationFactor > 1 {
 		if err := rt.reconcile(b); err != nil {
 			rt.noteFailure(b, "reconcile", err)
@@ -300,6 +270,67 @@ func (rt *Router) trial(b *backend) {
 		}
 	}
 	rt.noteSuccess(b)
+}
+
+// probe hits one backend's /healthz and records the epoch it reports.
+// Any failure (transport, status or body) counts toward ejection under
+// cause.
+func (rt *Router) probe(b *backend, cause string) bool {
+	var health struct {
+		Epoch int64 `json:"epoch"`
+	}
+	if err := rt.call(b, "", http.MethodGet, "/healthz", nil, &health); err != nil {
+		rt.noteFailure(b, cause, err)
+		return false
+	}
+	b.epoch.Store(health.Epoch)
+	return true
+}
+
+// maxControlBody bounds a control-plane answer; the largest is a full
+// registry sync.
+const maxControlBody = 64 << 20
+
+// call is the one control-plane round trip to a backend: method on
+// endpoint, with in (when non-nil) as the JSON request body, and a
+// 200's JSON body decoded into out (when non-nil). Any other status is
+// the error "<endpoint> returned <status>", named by the endpoint's
+// last path element. A transport failure also feeds b's health machine
+// under cause; callers that count every failure themselves, or none,
+// pass "".
+func (rt *Router) call(b *backend, cause, method, endpoint string, in, out any) error {
+	var reqBody io.Reader
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		reqBody = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequest(method, b.base+endpoint, reqBody)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := b.client.Do(req)
+	if err != nil {
+		if cause != "" {
+			rt.noteFailure(b, cause, err)
+		}
+		return err
+	}
+	defer resp.Body.Close()
+	body := io.LimitReader(resp.Body, maxControlBody)
+	defer io.Copy(io.Discard, body) // drained, the connection is reused
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s returned %d", path.Base(endpoint), resp.StatusCode)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(body).Decode(out)
 }
 
 // noteFailure feeds one transport failure into the backend's health
@@ -563,117 +594,149 @@ func (rt *Router) handlePatients(w http.ResponseWriter, r *http.Request) {
 // moved on, and honors a client-sent value as an upper bound.
 const deadlineHeader = "X-Deadline-Ms"
 
-// forward proxies one request to the backend owning key. Pinned
-// requests (registry state lives on the key's replica group) stay
-// within the group: idempotent pinned reads fail over owner ->
-// successors inside the group, un-replicated writes retry the owner
-// with backoff. Un-pinned requests walk the owner's ring successors,
-// so an ejected backend's keys are served by its deterministic
-// neighbor until it recovers. The whole dance — attempts plus backoff
-// sleeps — is bounded by the request budget.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string, idempotent, pinned bool) {
+// routed is one request's routing decision: its trace, the backends
+// that may answer it (owner first), whether it is pinned to them, and
+// the deadline of its budget.
+type routed struct {
+	tr         *obs.Trace
+	candidates []string
+	pinned     bool
+	deadline   time.Time
+}
+
+// route counts a routed request and settles where it may go and for
+// how long. An un-pinned key may walk every ring successor of its
+// owner, so an ejected backend's keys are served by its deterministic
+// neighbor until it recovers. A pinned key (registry state lives on
+// its replica group) stays within the group. When nothing can be tried
+// — no backends, or a budget spent before the request arrived — route
+// answers the request itself and returns false.
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, key string, pinned bool) (routed, bool) {
 	rt.requests.Add(1)
-	tr := obs.FromContext(r.Context())
 	candidates := rt.ring.Successors(key, rt.ring.Len())
 	if len(candidates) == 0 {
 		rt.proxyErrors.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "router: no backends"})
-		return
+		return routed{}, false
 	}
 	rt.backends[candidates[0]].routedKeys.Add(1)
 	if pinned && rt.cfg.ReplicationFactor < len(candidates) {
 		candidates = candidates[:rt.cfg.ReplicationFactor]
 	}
-
 	deadline, expired := rt.requestDeadline(r)
 	if expired {
 		rt.proxyErrors.Add(1)
 		rt.deadlineExhausted.Add(1)
 		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request deadline already expired"})
+		return routed{}, false
+	}
+	return routed{tr: obs.FromContext(r.Context()), candidates: candidates, pinned: pinned, deadline: deadline}, true
+}
+
+// forward proxies one request to the backend owning key through the
+// attempt walk; idempotent requests retry. A replicated
+// registered-patient read walks its replica group instead (see
+// forwardPinnedRead).
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string, idempotent, pinned bool) {
+	rq, ok := rt.route(w, r, key, pinned)
+	if !ok {
 		return
 	}
-
-	if pinned && idempotent && len(candidates) > 1 {
-		// A replicated registered-patient read: every group member holds
-		// the record, so the read fails over within the group instead of
-		// dead-ending on the owner.
-		rt.forwardPinnedRead(w, r, tr, body, key, candidates, deadline)
+	if pinned && idempotent && len(rq.candidates) > 1 {
+		rt.forwardPinnedRead(w, r, rq, body, key)
 		return
 	}
-
-	attempts := 1
+	tries := 1
 	if idempotent {
-		attempts += rt.cfg.MaxRetries
+		tries += rt.cfg.MaxRetries
 	}
+	cr, b := rt.attempt(r, rq, body, tries, nil)
+	if cr == nil {
+		rt.writeUnrouted(w, rq, b)
+		return
+	}
+	relayCaptured(w, cr, b.name)
+}
+
+// attempt is the owner-first retry walk: up to tries proxied attempts,
+// each to the next in-rotation candidate after the last one that
+// failed, with a doubling backoff before each retry and everything
+// inside the request budget. When no candidate is in
+// rotation (the whole pool just restarted, say), a pinned walk tries
+// its next candidate anyway — a passive success flips it back to
+// healthy faster than a probe — and an un-pinned walk stops after its
+// first attempt. It returns the answer and the backend that gave it,
+// or no answer and the last backend tried (nil if none was).
+func (rt *Router) attempt(r *http.Request, rq routed, body []byte, tries int, extra http.Header) (*capturedResponse, *backend) {
 	backoff := rt.cfg.RetryBackoff
-	var lastErr error
+	var last *backend
 	cursor := 0
-	for attempt := 0; attempt < attempts; attempt++ {
-		remaining := time.Until(deadline)
+	for try := 0; try < tries; try++ {
+		remaining := time.Until(rq.deadline)
 		if remaining <= 0 {
 			break
 		}
-		// Prefer in-rotation members; when every candidate is ejected
-		// (e.g. the whole pool just restarted), try the owner anyway —
-		// passive success flips it back to healthy faster than a probe.
 		var b *backend
-		for n := 0; n < len(candidates); n++ {
-			cand := rt.backends[candidates[(cursor+n)%len(candidates)]]
+		for n := 0; n < len(rq.candidates); n++ {
+			cand := rt.backends[rq.candidates[(cursor+n)%len(rq.candidates)]]
 			if cand.health.Healthy() {
 				b = cand
-				cursor = (cursor + n) % len(candidates)
+				cursor = (cursor + n) % len(rq.candidates)
 				break
 			}
 		}
 		if b == nil {
-			if !pinned && attempt > 0 {
+			if !rq.pinned && try > 0 {
 				break // every successor tried or ejected
 			}
-			b = rt.backends[candidates[cursor%len(candidates)]]
+			b = rt.backends[rq.candidates[cursor%len(rq.candidates)]]
 		}
 
-		if attempt > 0 {
+		if try > 0 {
 			if backoff >= remaining {
 				break // the budget would be spent sleeping
 			}
-			tr.Eventf("retry %d: backoff %s then backend %s", attempt, backoff, b.name)
+			rq.tr.Eventf("retry %d: backoff %s then backend %s", try, backoff, b.name)
 			time.Sleep(backoff)
 			backoff *= 2
 			b.retries.Add(1)
 			rt.retriesTotal.Add(1)
-			if remaining = time.Until(deadline); remaining <= 0 {
+			if remaining = time.Until(rq.deadline); remaining <= 0 {
 				break
 			}
 		}
-		if rt.proxyOnce(w, r, tr, b, body, remaining) {
-			return
+		if cr, err := rt.proxyCapture(r, rq.tr, b, body, remaining, extra); err == nil {
+			return cr, b
 		}
-		lastErr = fmt.Errorf("backend %s unreachable", b.name)
-		cursor++ // next attempt starts at the following successor
+		last = b
+		cursor++ // the next attempt starts at the following candidate
 	}
+	return nil, last
+}
+
+// writeUnrouted answers a request no backend answered. A pinned key
+// whose whole group is out of rotation gets a 503 whose Retry-After is
+// when a retry could plausibly succeed: the remainder of the owner's
+// ejection cooldown. A spent budget gets a 504, and anything else a
+// 502 naming the last backend tried.
+func (rt *Router) writeUnrouted(w http.ResponseWriter, rq routed, last *backend) {
 	rt.proxyErrors.Add(1)
-	if pinned && !rt.anyHealthy(candidates) {
-		// No group member that can answer is in rotation. Tell the
-		// client when a retry could plausibly succeed: the remainder of
-		// the owner's ejection cooldown.
-		owner := rt.backends[candidates[0]]
+	switch {
+	case rq.pinned && !rt.anyHealthy(rq.candidates):
+		owner := rt.backends[rq.candidates[0]]
 		rt.pinnedUnavailable.Add(1)
 		w.Header().Set("Retry-After", retryAfterSeconds(owner.health.RetryAfter(time.Now())))
 		writeJSON(w, http.StatusServiceUnavailable, apiError{
 			Error: fmt.Sprintf("router: backend %s owning this patient is out of rotation", owner.name),
 		})
-		return
-	}
-	if time.Until(deadline) <= 0 {
+	case time.Until(rq.deadline) <= 0:
 		rt.deadlineExhausted.Add(1)
 		writeJSON(w, http.StatusGatewayTimeout, apiError{Error: "router: request budget exhausted"})
-		return
+	case last == nil:
+		writeJSON(w, http.StatusBadGateway, apiError{Error: "router: request failed"})
+	default:
+		writeJSON(w, http.StatusBadGateway, apiError{Error: fmt.Sprintf("router: backend %s unreachable", last.name)})
 	}
-	msg := "router: request failed"
-	if lastErr != nil {
-		msg = "router: " + lastErr.Error()
-	}
-	writeJSON(w, http.StatusBadGateway, apiError{Error: msg})
 }
 
 // anyHealthy reports whether any named backend is in rotation.
@@ -714,14 +777,28 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// proxyOnce sends one attempt to one backend, streaming the response
-// through on success. A transport failure reports to the backend's
-// health machine and returns false so the caller can retry; any HTTP
-// response — including 4xx/5xx — is a successful proxy and is
-// relayed as-is. remaining is the request budget left: it caps the
-// attempt timeout and is stamped onto the backend as X-Deadline-Ms so
-// the backend stops working the moment this attempt's clock runs out.
-func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, tr *obs.Trace, b *backend, body []byte, remaining time.Duration) bool {
+// capturedResponse is one backend response, buffered whole.
+type capturedResponse struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+// proxyCapture sends one attempt to one backend; it is the only way a
+// routed request reaches one. It buffers the whole response before a
+// byte reaches the client: once the status line is written the attempt
+// cannot be retried, and a chunked body that dies mid-stream on the
+// backend link would be re-terminated cleanly by our own server, so
+// the client would read a truncated 2xx as if it were complete. A
+// transport failure, a body that dies mid-read or one short of its
+// Content-Length feeds the backend's health machine and returns an
+// error for the caller to retry. Any HTTP response, 4xx and 5xx
+// included, is a successful proxy. remaining is the request budget
+// left: it caps the attempt timeout and is stamped onto the backend as
+// X-Deadline-Ms, so the backend stops working the moment this
+// attempt's clock runs out. extra headers (such as X-Replicate) are
+// stamped onto the backend request.
+func (rt *Router) proxyCapture(r *http.Request, tr *obs.Trace, b *backend, body []byte, remaining time.Duration, extra http.Header) (*capturedResponse, error) {
 	b.requests.Add(1)
 	url := b.base + r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -740,9 +817,12 @@ func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 	req, err := http.NewRequestWithContext(ctx, r.Method, url, reader)
 	if err != nil {
 		b.errors.Add(1)
-		return false
+		return nil, err
 	}
 	copyProxyHeaders(req.Header, r.Header)
+	for k, vs := range extra {
+		req.Header[k] = vs
+	}
 	req.Header.Set(deadlineHeader, strconv.FormatInt(attemptTimeout.Milliseconds(), 10))
 	t0 := time.Now()
 	resp, err := b.client.Do(req)
@@ -754,41 +834,37 @@ func (rt *Router) proxyOnce(w http.ResponseWriter, r *http.Request, tr *obs.Trac
 		b.errors.Add(1)
 		tr.Eventf("backend %s failed: %v", b.name, err)
 		rt.noteFailure(b, "proxy", err)
-		return false
+		return nil, err
 	}
 	defer resp.Body.Close()
-	// Buffer the whole response before a byte reaches the client. Once
-	// the status line is written the attempt cannot be retried, and a
-	// chunked body that dies mid-stream on the backend link would be
-	// re-terminated cleanly by our own server — the client would read a
-	// truncated 2xx as if it were complete. A mid-body failure here is
-	// a transport error like any other: it feeds the health machine and
-	// the caller retries.
-	raw, rerr := io.ReadAll(resp.Body)
-	if rerr == nil && resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
-		rerr = fmt.Errorf("short body: %d of %d bytes", len(raw), resp.ContentLength)
+	raw, err := io.ReadAll(resp.Body)
+	if err == nil && resp.ContentLength >= 0 && int64(len(raw)) != resp.ContentLength {
+		err = fmt.Errorf("short body: %d of %d bytes", len(raw), resp.ContentLength)
 	}
-	if rerr != nil {
+	if err != nil {
 		b.errors.Add(1)
-		tr.Eventf("backend %s body died mid-read: %v", b.name, rerr)
-		rt.noteFailure(b, "proxy", rerr)
-		return false
+		tr.Eventf("backend %s body died mid-read: %v", b.name, err)
+		rt.noteFailure(b, "proxy", err)
+		return nil, err
 	}
 	b.lat.Observe(lat)
 	rt.noteSuccess(b)
 	tr.SetBackend(b.name)
+	return &capturedResponse{status: resp.StatusCode, header: resp.Header, body: raw}, nil
+}
 
+// relayCaptured writes a buffered backend response to the client.
+func relayCaptured(w http.ResponseWriter, cr *capturedResponse, backendName string) {
 	h := w.Header()
-	for k, vs := range resp.Header {
+	for k, vs := range cr.header {
 		if isHopByHop(k) {
 			continue
 		}
 		h[k] = vs
 	}
-	h.Set("X-Backend", b.name)
-	w.WriteHeader(resp.StatusCode)
-	w.Write(raw)
-	return true
+	h.Set("X-Backend", backendName)
+	w.WriteHeader(cr.status)
+	w.Write(cr.body)
 }
 
 // copyProxyHeaders forwards the request headers the backends care
