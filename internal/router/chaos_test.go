@@ -64,10 +64,29 @@ func TestRouterSurvivesChaoticBackend(t *testing.T) {
 		}
 	})
 
+	// Half the patients are owned by the proxied backend, half by the
+	// others. The proxy's ephemeral port places it on the ring, so a
+	// fixed patient set is sometimes owned entirely by the direct
+	// backends, and then only probes would cross the chaos.
+	var proxied, direct []int
+	for p := 0; p < sys.Data().NumPatients() && (len(proxied) < 4 || len(direct) < 4); p++ {
+		if rt.ring.Lookup(patientKey(p)) == px.Addr() {
+			if len(proxied) < 4 {
+				proxied = append(proxied, p)
+			}
+		} else if len(direct) < 4 {
+			direct = append(direct, p)
+		}
+	}
+	if len(proxied) < 4 || len(direct) < 4 {
+		t.Fatalf("ring gives the proxied backend %d and the others %d of the cohort's patients, want 4 each", len(proxied), len(direct))
+	}
+	patients := append(proxied, direct...)
+
 	seen := make(map[string]string) // patient|k|epoch -> body
 	var ok, failed int
 	for round := 0; round < 10; round++ {
-		for patient := 0; patient < 8; patient++ {
+		for _, patient := range patients {
 			resp, body := postJSON(t, f.rts.URL+"/v1/suggest", map[string]any{"patient": patient, "k": 3})
 			if resp.StatusCode != http.StatusOK {
 				failed++

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dssddi/internal/regproto"
 	"dssddi/internal/snapshot"
 	"dssddi/internal/wal"
 )
@@ -31,7 +32,8 @@ import (
 // takes the write side, making the checkpoint + log truncation
 // atomic with respect to writers. Records are absolute (full profile
 // per set, not deltas), so replaying a checkpoint-covered suffix is
-// idempotent.
+// idempotent. The WAL and the checkpoint both carry regproto.Record;
+// testdata/registry-v2.wal and registry-v2.ckpt pin both formats.
 
 // errDurability marks a mutation that failed at the WAL layer: the
 // write was NOT acknowledged durably and must surface as a 500, not a
@@ -51,16 +53,6 @@ const (
 	checkpointTag     = "registry-checkpoint"
 	checkpointVersion = 2
 )
-
-// storedProfile is one recovered registry entry. Tombstones
-// (deleted=true) are recovered too: a replica must remember deletes
-// across restarts or anti-entropy could resurrect them.
-type storedProfile struct {
-	regimen  []int
-	features []float64
-	version  uint64
-	deleted  bool
-}
 
 // durableStore owns the WAL and checkpoint machinery for one
 // registry.
@@ -85,61 +77,49 @@ type durableStore struct {
 	closeErr  error
 }
 
-// openDurableStore loads the checkpoint (if any), replays the WAL on
-// top of it and returns the store plus the recovered profiles. A
-// corrupt WAL interior or checkpoint refuses to open: serving guessed
-// clinical state is worse than refusing to start.
-func openDurableStore(cfg Config) (*durableStore, map[string]storedProfile, error) {
+// openDurableStore loads the checkpoint (if any) into r, replays the
+// WAL on top of it and returns the store. A corrupt WAL interior or
+// checkpoint refuses to open: serving guessed clinical state is worse
+// than refusing to start.
+func openDurableStore(cfg Config, r *patientRegistry) (*durableStore, error) {
 	pol, err := wal.ParseSyncPolicy(cfg.WALSync)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ckptPath := cfg.CheckpointPath
 	if ckptPath == "" {
 		ckptPath = cfg.WALPath + ".ckpt"
 	}
-	profiles := make(map[string]storedProfile)
-	if err := loadCheckpoint(ckptPath, profiles); err != nil {
-		return nil, nil, err
+	if err := loadCheckpoint(ckptPath, r.restore); err != nil {
+		return nil, err
 	}
 	log, err := wal.Open(cfg.WALPath, wal.Options{Sync: pol, Interval: cfg.WALSyncInterval}, func(version uint64, payload []byte) error {
-		return applyRecord(profiles, version, payload)
+		rec, err := decodeRecord(version, payload)
+		if err == nil {
+			r.restore(rec)
+		}
+		return err
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	live := 0
-	for _, p := range profiles {
-		if !p.deleted {
-			live++
-		}
+		return nil, err
 	}
 	st := &durableStore{
 		log:       log,
 		ckptPath:  ckptPath,
 		every:     int64(cfg.CheckpointEvery),
-		recovered: live,
+		recovered: r.len(),
 	}
 	// Records already in the log count toward the next compaction,
 	// otherwise a workload of short-lived restarts never checkpoints.
 	st.pending.Store(log.Records())
-	return st, profiles, nil
+	return st, nil
 }
 
-// logSet appends a full-profile record stamped with its replication
-// version; called under the owning shard's lock so the log order
-// matches the install order.
-func (st *durableStore) logSet(version uint64, id string, regimen []int, features []float64) error {
-	if err := st.log.Append(version, encodeSetRecord(id, regimen, features)); err != nil {
-		return fmt.Errorf("%w: %v", errDurability, err)
-	}
-	st.pending.Add(1)
-	return nil
-}
-
-// logDelete appends a tombstone; called under the owning shard's lock.
-func (st *durableStore) logDelete(version uint64, id string) error {
-	if err := st.log.Append(version, encodeDeleteRecord(id)); err != nil {
+// append logs one record stamped with its replication version; called
+// by the registry's write path under the owning shard's lock, so the
+// log order matches the install order.
+func (st *durableStore) append(rec regproto.Record) error {
+	if err := st.log.Append(rec.Version, encodeRecord(rec)); err != nil {
 		return fmt.Errorf("%w: %v", errDurability, err)
 	}
 	st.pending.Add(1)
@@ -169,7 +149,7 @@ func (st *durableStore) checkpoint(r *patientRegistry, force bool) error {
 	if !force && st.pending.Load() < st.every {
 		return nil // a racing mutation already checkpointed
 	}
-	if err := writeCheckpoint(st.ckptPath, r.snapshotProfiles()); err != nil {
+	if err := writeCheckpoint(st.ckptPath, r.records(regproto.SyncRequest{})); err != nil {
 		return err
 	}
 	if err := st.log.Reset(); err != nil {
@@ -195,8 +175,8 @@ func (st *durableStore) shutdown(r *patientRegistry) error {
 
 // --- record codec -----------------------------------------------------
 //
-// One WAL record payload (framing and checksumming live in
-// internal/wal):
+// One WAL record payload (framing, checksumming and the record's
+// version live in internal/wal):
 //
 //	op      byte (walOpSet | walOpDelete)
 //	id      uvarint length + bytes
@@ -208,22 +188,20 @@ func (st *durableStore) shutdown(r *patientRegistry) error {
 // record re-applied over a checkpoint that already contains it is
 // harmless.
 
-func encodeSetRecord(id string, regimen []int, features []float64) []byte {
-	buf := make([]byte, 0, 1+1+len(id)+2+len(regimen)*2+2+len(features)*8+binary.MaxVarintLen64)
-	buf = append(buf, walOpSet)
-	buf = binary.AppendUvarint(buf, uint64(len(id)))
-	buf = append(buf, id...)
-	buf = appendIntSlice(buf, regimen)
-	buf = appendFloatSlice(buf, features)
-	return buf
-}
-
-func encodeDeleteRecord(id string) []byte {
-	buf := make([]byte, 0, 1+1+len(id))
-	buf = append(buf, walOpDelete)
-	buf = binary.AppendUvarint(buf, uint64(len(id)))
-	buf = append(buf, id...)
-	return buf
+func encodeRecord(rec regproto.Record) []byte {
+	op := byte(walOpSet)
+	if rec.Deleted {
+		op = walOpDelete
+	}
+	buf := make([]byte, 0, 1+1+len(rec.ID)+2+len(rec.Regimen)*2+2+len(rec.Features)*8+binary.MaxVarintLen64)
+	buf = append(buf, op)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.ID)))
+	buf = append(buf, rec.ID...)
+	if rec.Deleted {
+		return buf
+	}
+	buf = appendIntSlice(buf, rec.Regimen)
+	return appendFloatSlice(buf, rec.Features)
 }
 
 func appendIntSlice(buf []byte, v []int) []byte {
@@ -250,34 +228,32 @@ func appendFloatSlice(buf []byte, v []float64) []byte {
 	return buf
 }
 
-// applyRecord applies one replayed WAL record to the recovery map.
-// The record's replication version rides in the WAL frame; deletes
-// become tombstones rather than map removals so the recovered replica
-// still refuses stale resurrecting writes.
-func applyRecord(profiles map[string]storedProfile, version uint64, payload []byte) error {
+// decodeRecord parses one WAL payload; the version rides in the WAL
+// frame. Deletes decode as tombstones, so a recovered replica still
+// refuses stale resurrecting writes.
+func decodeRecord(version uint64, payload []byte) (regproto.Record, error) {
 	r := recordReader{buf: payload}
 	op := r.byte()
-	id := r.string()
+	rec := regproto.Record{ID: r.string(), Version: version}
 	switch op {
 	case walOpSet:
-		regimen := r.intSlice()
-		features := r.floatSlice()
+		rec.Regimen = r.intSlice()
+		rec.Features = r.floatSlice()
 		if r.err != nil {
-			return fmt.Errorf("malformed set record: %w", r.err)
+			return rec, fmt.Errorf("malformed set record: %w", r.err)
 		}
-		profiles[id] = storedProfile{regimen: regimen, features: features, version: version}
 	case walOpDelete:
+		rec.Deleted = true
 		if r.err != nil {
-			return fmt.Errorf("malformed delete record: %w", r.err)
+			return rec, fmt.Errorf("malformed delete record: %w", r.err)
 		}
-		profiles[id] = storedProfile{version: version, deleted: true}
 	default:
-		return fmt.Errorf("unknown record op %d", op)
+		return rec, fmt.Errorf("unknown record op %d", op)
 	}
 	if len(r.buf) != r.pos {
-		return fmt.Errorf("record has %d trailing bytes", len(r.buf)-r.pos)
+		return rec, fmt.Errorf("record has %d trailing bytes", len(r.buf)-r.pos)
 	}
-	return nil
+	return rec, nil
 }
 
 // recordReader is a tiny sticky-error cursor over one record payload.
@@ -360,7 +336,8 @@ func (r *recordReader) floatSlice() []float64 {
 		return nil
 	}
 	n := r.uvarint("float count")
-	if r.err != nil || n*8 > uint64(len(r.buf)-r.pos) {
+	// Compare the count, not the byte length: n*8 wraps for n >= 2^61.
+	if r.err != nil || n > uint64(len(r.buf)-r.pos)/8 {
 		r.fail("floats")
 		return nil
 	}
@@ -374,17 +351,9 @@ func (r *recordReader) floatSlice() []float64 {
 
 // --- checkpoint file --------------------------------------------------
 
-type checkpointEntry struct {
-	id       string
-	regimen  []int
-	features []float64
-	version  uint64
-	deleted  bool
-}
-
 // writeCheckpoint atomically replaces the checkpoint file: encode into
 // a temp sibling, fsync, rename, fsync the directory.
-func writeCheckpoint(path string, entries []checkpointEntry) error {
+func writeCheckpoint(path string, recs []regproto.Record) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -393,15 +362,15 @@ func writeCheckpoint(path string, entries []checkpointEntry) error {
 	e := snapshot.NewEncoder(f)
 	e.String(checkpointTag)
 	e.Int(checkpointVersion)
-	e.Int(len(entries))
-	for _, ent := range entries {
-		e.String(ent.id)
-		e.Int64(int64(ent.version))
-		e.Bool(ent.deleted)
-		e.Bool(ent.regimen != nil)
-		e.Ints(ent.regimen)
-		e.Bool(ent.features != nil)
-		e.Floats(ent.features)
+	e.Int(len(recs))
+	for _, rec := range recs {
+		e.String(rec.ID)
+		e.Int64(int64(rec.Version))
+		e.Bool(rec.Deleted)
+		e.Bool(rec.Regimen != nil)
+		e.Ints(rec.Regimen)
+		e.Bool(rec.Features != nil)
+		e.Floats(rec.Features)
 	}
 	if err := e.Finish(); err != nil {
 		f.Close()
@@ -424,10 +393,10 @@ func writeCheckpoint(path string, entries []checkpointEntry) error {
 	return syncDir(filepath.Dir(path))
 }
 
-// loadCheckpoint reads a checkpoint file into profiles; a missing file
-// is a fresh start, a damaged one refuses to load (the snapshot
-// codec's CRC footer catches torn or flipped bytes).
-func loadCheckpoint(path string, profiles map[string]storedProfile) error {
+// loadCheckpoint hands each record of a checkpoint file to restore; a
+// missing file is a fresh start, a damaged one refuses to load (the
+// snapshot codec's CRC footer catches torn or flipped bytes).
+func loadCheckpoint(path string, restore func(regproto.Record)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -447,25 +416,23 @@ func loadCheckpoint(path string, profiles map[string]storedProfile) error {
 		return fmt.Errorf("serve: checkpoint %s: unsupported version %d", path, v)
 	}
 	n := d.Int()
-	// The decoded feature vectors are retained in profiles, so they come
-	// from a shared arena: one block allocation serves many entries
-	// instead of one fresh slice per Floats call.
+	// The decoded feature vectors are retained by the registry, so they
+	// come from a shared arena: one block allocation serves many
+	// entries instead of one fresh slice per Floats call.
 	var arena snapshot.FloatArena
 	for i := 0; i < n && d.Err() == nil; i++ {
-		id := d.String()
-		version := uint64(d.Int64())
-		deleted := d.Bool()
+		rec := regproto.Record{ID: d.String(), Version: uint64(d.Int64()), Deleted: d.Bool()}
 		hasRegimen := d.Bool()
-		regimen := d.Ints()
+		rec.Regimen = d.Ints()
 		hasFeatures := d.Bool()
-		features := d.FloatsArena(&arena)
+		rec.Features = d.FloatsArena(&arena)
 		if !hasRegimen {
-			regimen = nil
+			rec.Regimen = nil
 		}
 		if !hasFeatures {
-			features = nil
+			rec.Features = nil
 		}
-		profiles[id] = storedProfile{regimen: regimen, features: features, version: version, deleted: deleted}
+		restore(rec)
 	}
 	if err := d.Verify(); err != nil {
 		return fmt.Errorf("serve: checkpoint %s: %w", path, err)
@@ -480,45 +447,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// --- registry integration --------------------------------------------
-
-// snapshotProfiles copies every entry — tombstones included, so a
-// checkpointed replica still remembers its deletes; callers must hold
-// the durable gate exclusively (or otherwise exclude mutations).
-func (r *patientRegistry) snapshotProfiles() []checkpointEntry {
-	entries := make([]checkpointEntry, 0, r.len())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for id, p := range sh.items {
-			entries = append(entries, checkpointEntry{
-				id: id, regimen: p.regimen, features: p.features,
-				version: p.version, deleted: p.deleted,
-			})
-		}
-		sh.mu.RUnlock()
-	}
-	return entries
-}
-
-// installRecovered seeds the registry with boot-recovered profiles
-// and tombstones. Embeddings are left unset (embEpoch 0), so the
-// subsequent reembedAll treats recovery exactly like a hot reload:
-// every recovered patient is re-embedded against the current model
-// before the server takes traffic.
-func (r *patientRegistry) installRecovered(profiles map[string]storedProfile) {
-	for id, p := range profiles {
-		sh := r.shard(id)
-		sh.mu.Lock()
-		sh.items[id] = &registeredPatient{
-			regimen: p.regimen, features: p.features, gen: 1,
-			version: p.version, deleted: p.deleted,
-		}
-		sh.mu.Unlock()
-		if !p.deleted {
-			r.count.Add(1)
-		}
-	}
 }

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,11 +22,16 @@ import (
 // patients survive hot reloads. The registry itself is epoch-agnostic;
 // embeddings are tagged with the epoch they were built against.
 //
+// Every mutation — PUT, PATCH, DELETE and replica apply — goes through
+// write, the one place a record is logged and installed.
+//
 // Locking discipline: stored slices are replace-only (a write installs
-// fresh copies, never mutates in place), so a reader may hand a slice
-// it extracted under RLock to the response encoder after unlocking.
+// slices nothing else holds — freshly decoded from its request body or
+// copied — and never mutates them in place), so a reader may hand a
+// slice it extracted under RLock to the response encoder after
+// unlocking.
 type patientRegistry struct {
-	shards [registryShards]registryShard
+	shards [regproto.Shards]registryShard
 
 	// store, when non-nil, write-ahead-logs every mutation before it
 	// is acknowledged and periodically compacts the log into a
@@ -34,7 +40,7 @@ type patientRegistry struct {
 	store *durableStore
 
 	count    atomic.Int64 // live entries (tombstones excluded)
-	writes   atomic.Int64 // PUT/PATCH mutations accepted
+	writes   atomic.Int64 // client mutations accepted: PUT, PATCH and DELETE
 	reembeds atomic.Int64 // embeddings recomputed for an epoch move
 
 	// Replication counters: records installed (or refused as stale)
@@ -44,39 +50,55 @@ type patientRegistry struct {
 	applyLat       obs.Histogram
 }
 
-// registryShards must equal regproto.Shards so per-shard anti-entropy
-// digests computed here line up with the fleet's view.
-const registryShards = regproto.Shards
-
 type registryShard struct {
 	mu    sync.RWMutex
 	items map[string]*registeredPatient
 }
 
 // registeredPatient is one registry entry, guarded by its shard's
-// mutex.
+// mutex. Tombstones (rec.Deleted) are kept with their version so
+// replication cannot resurrect a deleted patient by applying an older
+// set record; they are invisible to reads.
 type registeredPatient struct {
-	regimen  []int
-	features []float64
+	// rec is the entry's canonical record: the one the write path
+	// logged, and the one replication, checkpoints and reads see. Its
+	// version is the replication-layer last-writer-wins version,
+	// minted by nextVersion on the acting ring owner; unlike gen it
+	// survives restarts and is comparable across replicas.
+	rec regproto.Record
 	// gen counts writes to this patient; it is baked into the result
 	// cache key, so a regimen update unreaches exactly this patient's
 	// cached responses (O(1) invalidation; stale entries age out of
 	// the LRU) without touching anyone else's.
 	gen uint64
-	// version is the replication-layer last-writer-wins version:
-	// monotonically increasing per record, assigned by the acting ring
-	// owner on each mutation, WAL-logged and replicated. Unlike gen it
-	// survives restarts and is comparable across replicas.
-	version uint64
-	// deleted marks a tombstone: the delete is retained (with its
-	// version) so replication cannot resurrect the patient by applying
-	// an older set record. Tombstones are invisible to reads.
-	deleted bool
 
 	emb      *dssddi.PatientEmbedding
 	embEpoch int64
 	embErr   error // re-embed failure against embEpoch's model
 }
+
+// live reports whether p holds a readable (non-tombstone) record; a
+// nil entry is an id the registry has never seen.
+func (p *registeredPatient) live() bool { return p != nil && !p.rec.Deleted }
+
+// nextVersion mints the version of a write the acting owner accepts:
+// one past the held record's, tombstones included, so a
+// re-registration after a delete still moves the version forward.
+func (p *registeredPatient) nextVersion() uint64 {
+	if p == nil {
+		return 1
+	}
+	return p.rec.Version + 1
+}
+
+var (
+	// errNotRegistered refuses a PATCH or DELETE of an id without a
+	// live record.
+	errNotRegistered = errors.New("serve: patient is not registered")
+	// errStale refuses a replicated record that is not strictly newer
+	// than the held one.
+	errStale = errors.New("serve: replicated record is stale")
+)
 
 func newPatientRegistry() *patientRegistry {
 	r := &patientRegistry{}
@@ -87,9 +109,7 @@ func newPatientRegistry() *patientRegistry {
 }
 
 func (r *patientRegistry) shard(id string) *registryShard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &r.shards[h.Sum32()%registryShards]
+	return &r.shards[regproto.ShardOf(id)]
 }
 
 // validPatientID bounds registry ids: 1-64 bytes of [A-Za-z0-9._-].
@@ -113,196 +133,124 @@ func validPatientID(id string) error {
 	return nil
 }
 
-// put creates or replaces a patient's profile, embedding it against
-// the given epoch's model. The profile is validated by the embed: an
-// invalid one is rejected and the previous state (if any) is kept.
-// The returned version is the record's new LWW version (previous
-// version + 1, tombstones included, so a re-registration after a
-// delete still moves the version forward).
-func (r *patientRegistry) put(ep *servingEpoch, tr *obs.Trace, id string, regimen []int, features []float64) (created bool, gen, version uint64, err error) {
-	emb, err := ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: regimen, Features: features})
-	if err != nil {
-		return false, 0, 0, err
-	}
+// write is the registry's one mutation path. Under the durable gate's
+// read side and the shard lock, next is handed the current entry (nil
+// for an unseen id) and returns the entry to install, or an error that
+// refuses the write and leaves the entry as it was. The record is
+// appended to the WAL before it is installed, inside the same critical
+// section, so log order matches install order and a failed append
+// leaves nothing acknowledged. An installed write bumps accepted.
+// created reports that a live record now stands where none did.
+func (r *patientRegistry) write(tr *obs.Trace, id string, accepted *atomic.Int64, next func(cur *registeredPatient) (registeredPatient, error)) (rec regproto.Record, gen uint64, created bool, err error) {
 	if r.store != nil {
 		r.store.gate.RLock()
 	}
 	sh := r.shard(id)
 	sh.mu.Lock()
-	p := sh.items[id]
-	version = 1
-	if p != nil {
-		version = p.version + 1
-	}
-	if r.store != nil {
-		// Log before install, inside the shard critical section: the
-		// WAL order matches the install order, and a failed append
-		// leaves the previous state intact and unacknowledged.
+	cur := sh.items[id]
+	p, err := next(cur)
+	if err == nil && r.store != nil {
 		var wStart time.Time
 		if tr != nil {
 			wStart = time.Now()
 		}
-		err := r.store.logSet(version, id, regimen, features)
+		err = r.store.append(p.rec)
 		tr.Span("wal-append", wStart)
-		if err != nil {
-			sh.mu.Unlock()
-			r.store.gate.RUnlock()
-			return false, 0, 0, err
+	}
+	if err == nil {
+		wasLive := cur.live()
+		if cur == nil {
+			cur = new(registeredPatient)
+			sh.items[id] = cur
 		}
+		p.gen = cur.gen + 1
+		*cur = p
+		switch {
+		case !wasLive && !p.rec.Deleted:
+			r.count.Add(1)
+			created = true
+		case wasLive && p.rec.Deleted:
+			r.count.Add(-1)
+		}
+		rec, gen = p.rec, p.gen
+		accepted.Add(1)
 	}
-	if p == nil {
-		p = &registeredPatient{}
-		sh.items[id] = p
-		r.count.Add(1)
-		created = true
-	} else if p.deleted {
-		// Re-registration over a tombstone: a creation from the
-		// client's point of view.
-		r.count.Add(1)
-		created = true
-	}
-	p.regimen = append([]int(nil), regimen...)
-	p.features = append([]float64(nil), features...)
-	if features == nil {
-		p.features = nil
-	}
-	p.gen++
-	gen = p.gen
-	p.version = version
-	p.deleted = false
-	p.emb, p.embEpoch, p.embErr = emb, ep.id, nil
-	r.writes.Add(1)
 	sh.mu.Unlock()
 	if r.store != nil {
 		// The gate must be released before the checkpoint check: a
 		// checkpoint takes its write side.
 		r.store.gate.RUnlock()
-		r.store.maybeCheckpoint(r)
+		if err == nil {
+			r.store.maybeCheckpoint(r)
+		}
 	}
-	return created, gen, version, nil
+	return rec, gen, created, err
 }
 
-// patch partially updates a patient: non-nil fields replace the stored
-// ones, the merged profile is re-embedded against the given epoch and
-// installed atomically. found=false means no such patient. The
-// returned regimen is the one this patch installed (read under the
-// same critical section, so a concurrent writer can never be echoed
-// back as this patch's result).
-func (r *patientRegistry) patch(ep *servingEpoch, tr *obs.Trace, id string, regimen *[]int, features *[]float64) (found bool, gen, version uint64, merged []int, err error) {
-	if r.store != nil {
-		r.store.gate.RLock()
-	}
-	sh := r.shard(id)
-	sh.mu.Lock()
-	unlock := func() {
-		sh.mu.Unlock()
-		if r.store != nil {
-			r.store.gate.RUnlock()
-		}
-	}
-	p := sh.items[id]
-	if p == nil || p.deleted {
-		unlock()
-		return false, 0, 0, nil, nil
-	}
-	newRegimen, newFeatures := p.regimen, p.features
-	if regimen != nil {
-		newRegimen = append([]int(nil), *regimen...)
-	}
-	if features != nil {
-		newFeatures = append([]float64(nil), *features...)
-		if *features == nil {
-			newFeatures = nil
-		}
-	}
-	emb, err := ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: newRegimen, Features: newFeatures})
+// put creates or replaces a patient's profile, embedding it against
+// the given epoch's model outside the lock. An invalid profile is
+// rejected by the embed and the previous state (if any) is kept.
+func (r *patientRegistry) put(ep *servingEpoch, tr *obs.Trace, id string, regimen []int, features []float64) (rec regproto.Record, gen uint64, created bool, err error) {
+	emb, err := ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: regimen, Features: features})
 	if err != nil {
-		unlock()
-		return true, 0, 0, nil, err
+		return rec, 0, false, err
 	}
-	version = p.version + 1
-	if r.store != nil {
-		// The merged profile is logged absolute, so replay never
-		// depends on the pre-patch state.
-		var wStart time.Time
-		if tr != nil {
-			wStart = time.Now()
-		}
-		err := r.store.logSet(version, id, newRegimen, newFeatures)
-		tr.Span("wal-append", wStart)
-		if err != nil {
-			unlock()
-			return true, 0, 0, nil, err
-		}
-	}
-	p.regimen, p.features = newRegimen, newFeatures
-	p.gen++
-	gen = p.gen
-	p.version = version
-	merged = p.regimen
-	p.emb, p.embEpoch, p.embErr = emb, ep.id, nil
-	r.writes.Add(1)
-	unlock()
-	if r.store != nil {
-		r.store.maybeCheckpoint(r)
-	}
-	return true, gen, version, merged, nil
+	return r.write(tr, id, &r.writes, func(cur *registeredPatient) (registeredPatient, error) {
+		return registeredPatient{
+			rec: regproto.Record{ID: id, Version: cur.nextVersion(), Regimen: regimen, Features: features},
+			emb: emb, embEpoch: ep.id,
+		}, nil
+	})
 }
 
-// delete tombstones a patient, reporting whether it existed. The
-// entry is kept as a versioned tombstone (invisible to reads) so
-// replication and anti-entropy order the delete against concurrent
-// set records instead of resurrecting the patient. A non-nil error
-// means the tombstone could not be logged durably; the patient is
-// kept.
-func (r *patientRegistry) delete(id string) (bool, uint64, error) {
-	if r.store != nil {
-		r.store.gate.RLock()
-	}
-	sh := r.shard(id)
-	sh.mu.Lock()
-	unlock := func() {
-		sh.mu.Unlock()
-		if r.store != nil {
-			r.store.gate.RUnlock()
+// patch partially updates a live patient: non-nil fields replace the
+// stored ones, and the merged profile is re-embedded under the lock
+// and installed atomically. A replaced slice is installed as a copy,
+// so an empty one is stored (and logged) as absent. The returned
+// record is the one this patch installed, never a concurrent writer's.
+func (r *patientRegistry) patch(ep *servingEpoch, tr *obs.Trace, id string, regimen *[]int, features *[]float64) (rec regproto.Record, gen uint64, err error) {
+	rec, gen, _, err = r.write(tr, id, &r.writes, func(cur *registeredPatient) (registeredPatient, error) {
+		if !cur.live() {
+			return registeredPatient{}, errNotRegistered
 		}
-	}
-	p, ok := sh.items[id]
-	if !ok || p.deleted {
-		unlock()
-		return false, 0, nil
-	}
-	version := p.version + 1
-	if r.store != nil {
-		if err := r.store.logDelete(version, id); err != nil {
-			unlock()
-			return true, 0, err
+		next := regproto.Record{ID: id, Version: cur.nextVersion(), Regimen: cur.rec.Regimen, Features: cur.rec.Features}
+		if regimen != nil {
+			next.Regimen = append([]int(nil), *regimen...)
 		}
-	}
-	p.regimen, p.features = nil, nil
-	p.emb, p.embErr = nil, nil
-	p.deleted = true
-	p.version = version
-	p.gen++
-	r.count.Add(-1)
-	unlock()
-	if r.store != nil {
-		r.store.maybeCheckpoint(r)
-	}
-	return true, version, nil
+		if features != nil {
+			next.Features = append([]float64(nil), *features...)
+		}
+		emb, err := ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: next.Regimen, Features: next.Features})
+		return registeredPatient{rec: next, emb: emb, embEpoch: ep.id}, err
+	})
+	return rec, gen, err
 }
 
-// get returns a snapshot of a patient's profile. Tombstones read as
+// delete tombstones a live patient. The entry is kept as a versioned
+// tombstone (invisible to reads) so replication and anti-entropy order
+// the delete against concurrent set records instead of resurrecting
+// the patient.
+func (r *patientRegistry) delete(tr *obs.Trace, id string) (regproto.Record, error) {
+	rec, _, _, err := r.write(tr, id, &r.writes, func(cur *registeredPatient) (registeredPatient, error) {
+		if !cur.live() {
+			return registeredPatient{}, errNotRegistered
+		}
+		return registeredPatient{rec: regproto.Record{ID: id, Version: cur.nextVersion(), Deleted: true}}, nil
+	})
+	return rec, err
+}
+
+// get returns a snapshot of a patient's record. Tombstones read as
 // not-found.
-func (r *patientRegistry) get(id string) (regimen []int, features []float64, gen, version uint64, embEpoch int64, found bool) {
+func (r *patientRegistry) get(id string) (rec regproto.Record, gen uint64, embEpoch int64, found bool) {
 	sh := r.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	p := sh.items[id]
-	if p == nil || p.deleted {
-		return nil, nil, 0, 0, 0, false
+	if !p.live() {
+		return rec, 0, 0, false
 	}
-	return p.regimen, p.features, p.gen, p.version, p.embEpoch, true
+	return p.rec, p.gen, p.embEpoch, true
 }
 
 // embeddingFor returns the patient's embedding valid for the given
@@ -320,12 +268,12 @@ func (r *patientRegistry) embeddingFor(ep *servingEpoch, id string) (emb *dssddi
 	sh := r.shard(id)
 	sh.mu.RLock()
 	p := sh.items[id]
-	if p == nil || p.deleted {
+	if !p.live() {
 		sh.mu.RUnlock()
 		return nil, 0, nil, false, nil
 	}
-	gen, regimen = p.gen, p.regimen
-	features := p.features
+	gen, regimen = p.gen, p.rec.Regimen
+	features := p.rec.Features
 	emb, embEpoch, err := p.emb, p.embEpoch, p.embErr
 	sh.mu.RUnlock()
 	if embEpoch == ep.id {
@@ -354,26 +302,24 @@ func (r *patientRegistry) embeddingFor(ep *servingEpoch, id string) (emb *dssddi
 // never stalled behind a whole shard's worth of embeds.
 func (r *patientRegistry) reembedAll(ep *servingEpoch) {
 	type job struct {
-		id       string
-		regimen  []int
-		features []float64
-		gen      uint64
+		rec regproto.Record
+		gen uint64
 	}
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
 		jobs := make([]job, 0, len(sh.items))
-		for id, p := range sh.items {
-			if !p.deleted && p.embEpoch < ep.id {
-				jobs = append(jobs, job{id, p.regimen, p.features, p.gen})
+		for _, p := range sh.items {
+			if p.live() && p.embEpoch < ep.id {
+				jobs = append(jobs, job{p.rec, p.gen})
 			}
 		}
 		sh.mu.RUnlock()
 		for _, j := range jobs {
-			emb, err := ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: j.regimen, Features: j.features})
+			emb, err := ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: j.rec.Regimen, Features: j.rec.Features})
 			r.reembeds.Add(1)
 			sh.mu.Lock()
-			if p := sh.items[j.id]; p != nil && p.gen == j.gen && p.embEpoch < ep.id {
+			if p := sh.items[j.rec.ID]; p != nil && p.gen == j.gen && p.embEpoch < ep.id {
 				p.emb, p.embEpoch, p.embErr = emb, ep.id, err
 			}
 			sh.mu.Unlock()
@@ -401,150 +347,92 @@ func (r *patientRegistry) embeddingBytes() int64 {
 }
 
 // applyReplica installs one replicated record (router fan-out or
-// anti-entropy sync), gated on its version: the record is applied
-// only if its version is strictly newer than the locally stored one
+// anti-entropy sync) only if it is strictly newer than the held one
 // (last-writer-wins; a stale or duplicate apply is an idempotent
 // no-op). The outcome reports whether it applied and the version now
 // stored locally. Applied records are WAL-logged with the incoming
 // version — a replica's acknowledged copy must survive its own crash
-// — and re-embedded against the current epoch so the replica can
-// serve failover reads immediately. An embed failure does not refuse
-// the record (state convergence outranks a scorable embedding; the
-// error is kept and surfaces on suggest), so replicas converge even
-// mid-rollout when models briefly differ.
-func (r *patientRegistry) applyReplica(ep *servingEpoch, rec regproto.Record) (applied bool, version uint64, err error) {
+// — and embedded against the current epoch outside the lock, so the
+// replica can serve failover reads immediately. An embed failure does
+// not refuse the record (state convergence outranks a scorable
+// embedding; the error is kept and surfaces on suggest), so replicas
+// converge even mid-rollout when models briefly differ.
+func (r *patientRegistry) applyReplica(ep *servingEpoch, tr *obs.Trace, rec regproto.Record) (applied bool, version uint64, err error) {
 	t0 := time.Now()
 	defer func() { r.applyLat.Observe(time.Since(t0)) }()
-	var emb *dssddi.PatientEmbedding
-	var embErr error
-	if !rec.Deleted {
-		emb, embErr = ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: rec.Regimen, Features: rec.Features})
-	}
-	if r.store != nil {
-		r.store.gate.RLock()
-	}
-	sh := r.shard(rec.ID)
-	sh.mu.Lock()
-	p := sh.items[rec.ID]
-	if p != nil && p.version >= rec.Version {
-		local := p.version
-		sh.mu.Unlock()
-		if r.store != nil {
-			r.store.gate.RUnlock()
-		}
-		r.replicaStale.Add(1)
-		return false, local, nil
-	}
-	if r.store != nil {
-		var lerr error
-		if rec.Deleted {
-			lerr = r.store.logDelete(rec.Version, rec.ID)
-		} else {
-			lerr = r.store.logSet(rec.Version, rec.ID, rec.Regimen, rec.Features)
-		}
-		if lerr != nil {
-			sh.mu.Unlock()
-			r.store.gate.RUnlock()
-			return false, 0, lerr
-		}
-	}
-	wasLive := p != nil && !p.deleted
-	if p == nil {
-		p = &registeredPatient{}
-		sh.items[rec.ID] = p
-	}
+	next := registeredPatient{rec: rec}
 	if rec.Deleted {
-		p.regimen, p.features = nil, nil
-		p.emb, p.embErr = nil, nil
-		p.deleted = true
-		if wasLive {
-			r.count.Add(-1)
-		}
+		// A tombstone carries no profile, whatever the sender attached.
+		next.rec.Regimen, next.rec.Features = nil, nil
 	} else {
-		p.regimen = append([]int(nil), rec.Regimen...)
-		p.features = append([]float64(nil), rec.Features...)
-		if rec.Features == nil {
-			p.features = nil
-		}
-		p.deleted = false
-		p.emb, p.embEpoch, p.embErr = emb, ep.id, embErr
-		if !wasLive {
-			r.count.Add(1)
-		}
+		next.emb, next.embErr = ep.sys.EmbedPatient(dssddi.PatientProfile{Regimen: rec.Regimen, Features: rec.Features})
+		next.embEpoch = ep.id
 	}
-	p.version = rec.Version
-	p.gen++
-	sh.mu.Unlock()
-	if r.store != nil {
-		r.store.gate.RUnlock()
-		r.store.maybeCheckpoint(r)
+	version = rec.Version
+	_, _, _, err = r.write(tr, rec.ID, &r.replicaApplies, func(cur *registeredPatient) (registeredPatient, error) {
+		if cur != nil && !rec.Newer(cur.rec) {
+			version = cur.rec.Version
+			return registeredPatient{}, errStale
+		}
+		return next, nil
+	})
+	switch {
+	case errors.Is(err, errStale):
+		r.replicaStale.Add(1)
+		return false, version, nil
+	case err != nil:
+		return false, 0, err
 	}
-	r.replicaApplies.Add(1)
-	return true, rec.Version, nil
+	return true, version, nil
 }
 
-// records snapshots every registry record — tombstones included — as
-// canonical replication records, for the digest and sync endpoints.
-// Slices are the stored replace-only ones, safe to encode after the
-// locks drop.
-func (r *patientRegistry) records() []regproto.Record {
-	out := make([]regproto.Record, 0, r.count.Load())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for id, p := range sh.items {
-			out = append(out, regproto.Record{
-				ID:       id,
-				Version:  p.version,
-				Deleted:  p.deleted,
-				Regimen:  p.regimen,
-				Features: p.features,
-			})
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// recordsFor snapshots records filtered by shard and/or explicit ids,
-// per one sync pull.
-func (r *patientRegistry) recordsFor(req regproto.SyncRequest) []regproto.Record {
+// records snapshots the records a sync request names — by id, by
+// shard, or every record when it names neither — tombstones included.
+// Sync, the digest and checkpoints all read through it. Slices are the
+// stored replace-only ones, safe to encode after the locks drop. The
+// reservation never scales with the shard list, which the client sends
+// and may repeat.
+func (r *patientRegistry) records(req regproto.SyncRequest) []regproto.Record {
 	if len(req.IDs) > 0 {
 		out := make([]regproto.Record, 0, len(req.IDs))
 		for _, id := range req.IDs {
 			sh := r.shard(id)
 			sh.mu.RLock()
 			if p := sh.items[id]; p != nil {
-				out = append(out, regproto.Record{
-					ID: id, Version: p.version, Deleted: p.deleted,
-					Regimen: p.regimen, Features: p.features,
-				})
+				out = append(out, p.rec)
 			}
 			sh.mu.RUnlock()
 		}
 		return out
 	}
-	if len(req.Shards) == 0 {
-		return r.records()
-	}
-	want := make(map[int]bool, len(req.Shards))
-	for _, s := range req.Shards {
-		want[s] = true
-	}
-	var out []regproto.Record
+	out := make([]regproto.Record, 0, r.count.Load())
 	for i := range r.shards {
-		if !want[i] {
+		if len(req.Shards) > 0 && !slices.Contains(req.Shards, i) {
 			continue
 		}
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		for id, p := range sh.items {
-			out = append(out, regproto.Record{
-				ID: id, Version: p.version, Deleted: p.deleted,
-				Regimen: p.regimen, Features: p.features,
-			})
+		for _, p := range sh.items {
+			out = append(out, p.rec)
 		}
 		sh.mu.RUnlock()
 	}
 	return out
+}
+
+// restore installs one record recovered at boot, tombstones included
+// (a replica must remember its deletes across restarts or
+// anti-entropy could resurrect them); a later record for the same id
+// replaces an earlier one. Embeddings are left unset (embEpoch 0), so
+// the reembedAll that follows treats recovery exactly like a hot
+// reload. Boot only: the registry is not yet shared.
+func (r *patientRegistry) restore(rec regproto.Record) {
+	items := r.shard(rec.ID).items
+	if items[rec.ID].live() {
+		r.count.Add(-1)
+	}
+	items[rec.ID] = &registeredPatient{rec: rec, gen: 1}
+	if !rec.Deleted {
+		r.count.Add(1)
+	}
 }

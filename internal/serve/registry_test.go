@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dssddi"
+	"dssddi/internal/regproto"
 )
 
 // do issues a request with an arbitrary method (the registry endpoints
@@ -186,5 +187,43 @@ func TestPatientStatusCodes(t *testing.T) {
 	}
 	if resp, _ := do(t, http.MethodPut, ts.URL+"/v1/patients/empty", PatientPutRequest{}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty profile must 400, got %d", resp.StatusCode)
+	}
+}
+
+// TestRegistryWritesCounter: /metricsz registry.writes counts the
+// client mutations its help names — PUT, PATCH and DELETE — while a
+// replica apply counts only in replica_applies.
+func TestRegistryWritesCounter(t *testing.T) {
+	system(t)
+	_, ts := newTestServer(t, Config{})
+	registry := func() RegistryMetrics {
+		t.Helper()
+		_, body := get(t, ts.URL+"/metricsz")
+		var m Metrics
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Registry
+	}
+
+	if resp, _ := do(t, http.MethodPut, ts.URL+"/v1/patients/counted", PatientPutRequest{Regimen: []int{0, 2}}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT: status %d", resp.StatusCode)
+	}
+	if resp, _ := do(t, http.MethodPatch, ts.URL+"/v1/patients/counted", map[string]any{"regimen": []int{3}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH: status %d", resp.StatusCode)
+	}
+	if resp, _ := do(t, http.MethodDelete, ts.URL+"/v1/patients/counted", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: status %d", resp.StatusCode)
+	}
+	if got := registry().Writes; got != 3 {
+		t.Fatalf("writes = %d after PUT, PATCH and DELETE, want 3", got)
+	}
+
+	resp, body := post(t, ts.URL+"/v1/admin/registry/apply", regproto.ApplyRequest{Records: []regproto.Record{{ID: "replicated", Version: 4, Regimen: []int{1}}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("apply: status %d: %s", resp.StatusCode, body)
+	}
+	if m := registry(); m.Writes != 3 || m.ReplicaApplies != 1 {
+		t.Fatalf("after one apply: writes = %d, replica_applies = %d; want 3 and 1", m.Writes, m.ReplicaApplies)
 	}
 }

@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 
+	"dssddi/internal/obs"
 	"dssddi/internal/regproto"
 )
 
@@ -38,14 +38,12 @@ func (s *Server) handleRegistryApply(w http.ResponseWriter, r *http.Request, ep 
 			return badRequest(w, "record %q carries version 0; replicated records are versioned from 1", rec.ID)
 		}
 	}
+	tr := obs.FromContext(r.Context())
 	resp := regproto.ApplyResponse{Results: make([]regproto.ApplyResult, 0, len(req.Records))}
 	for _, rec := range req.Records {
-		applied, version, err := s.patients.applyReplica(ep, rec)
+		applied, version, err := s.patients.applyReplica(ep, tr, rec)
 		if err != nil {
-			if errors.Is(err, errDurability) {
-				return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			}
-			return badRequest(w, "record %q: %v", rec.ID, err)
+			return writeRefusal(w, rec.ID, err)
 		}
 		if applied {
 			resp.Applied++
@@ -60,7 +58,7 @@ func (s *Server) handleRegistryApply(w http.ResponseWriter, r *http.Request, ep 
 func (s *Server) handleRegistryDigest(w http.ResponseWriter, _ *http.Request, _ *servingEpoch) int {
 	return writeJSON(w, http.StatusOK, regproto.DigestResponse{
 		Records: s.patients.len(),
-		Shards:  regproto.DigestShards(s.patients.records()),
+		Shards:  regproto.DigestShards(s.patients.records(regproto.SyncRequest{})),
 	})
 }
 
@@ -74,9 +72,5 @@ func (s *Server) handleRegistrySync(w http.ResponseWriter, r *http.Request, _ *s
 			return badRequest(w, "shard %d out of range [0, %d)", sh, regproto.Shards)
 		}
 	}
-	recs := s.patients.recordsFor(req)
-	if recs == nil {
-		recs = []regproto.Record{}
-	}
-	return writeJSON(w, http.StatusOK, regproto.SyncResponse{Records: recs})
+	return writeJSON(w, http.StatusOK, regproto.SyncResponse{Records: s.patients.records(req)})
 }

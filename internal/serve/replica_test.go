@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"dssddi/internal/regproto"
@@ -248,5 +249,68 @@ func TestRegistryDigestSyncRoundTrip(t *testing.T) {
 		if dig.Shards[i] != dig2.Shards[i] {
 			t.Fatalf("shard %d digests diverge after replay:\n  source: %+v\n  peer:   %+v", i, dig.Shards[i], dig2.Shards[i])
 		}
+	}
+}
+
+// TestRegistrySyncRepeatedShards: a sync request may name a shard any
+// number of times. Each record still comes back once, an empty shard
+// still comes back as [], and the snapshot's reservation does not grow
+// with the repeats — the shard list is the client's, up to the body cap.
+func TestRegistrySyncRepeatedShards(t *testing.T) {
+	system(t)
+	s, ts := newTestServer(t, Config{})
+	ids := []string{"dup-a", "dup-b", "dup-c", "dup-d", "dup-e"}
+	occupied := map[int]int{}
+	for i, id := range ids {
+		if resp, _ := doReplicate(t, http.MethodPut, ts.URL+"/v1/patients/"+id, PatientPutRequest{Regimen: []int{i}}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("seed %s: status %d", id, resp.StatusCode)
+		}
+		occupied[regproto.ShardOf(id)]++
+	}
+	empty := 0
+	for occupied[empty] > 0 {
+		empty++
+	}
+	repeat := func(shard int) []int {
+		out := make([]int, 1<<18)
+		for i := range out {
+			out[i] = shard
+		}
+		return out
+	}
+
+	shard := regproto.ShardOf(ids[0])
+	resp, body := post(t, ts.URL+"/v1/admin/registry/sync", regproto.SyncRequest{Shards: repeat(shard)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync: status %d: %s", resp.StatusCode, body)
+	}
+	var sr regproto.SyncResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, r := range sr.Records {
+		if seen[r.ID] || regproto.ShardOf(r.ID) != shard {
+			t.Fatalf("repeated shard %d pulled %s twice or from shard %d", shard, r.ID, regproto.ShardOf(r.ID))
+		}
+		seen[r.ID] = true
+	}
+	if len(seen) != occupied[shard] {
+		t.Fatalf("repeated shard %d pulled %d records, want %d", shard, len(seen), occupied[shard])
+	}
+
+	resp, body = post(t, ts.URL+"/v1/admin/registry/sync", regproto.SyncRequest{Shards: repeat(empty)})
+	var raw struct{ Records json.RawMessage }
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &raw) != nil || string(raw.Records) != "[]" {
+		t.Fatalf("empty shard %d: status %d, body %s; want records []", empty, resp.StatusCode, body)
+	}
+
+	var before, after runtime.MemStats
+	shards := repeat(shard)
+	runtime.ReadMemStats(&before)
+	recs := s.patients.records(regproto.SyncRequest{Shards: shards})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a %d-entry shard list allocated %d bytes to snapshot %d records", len(shards), grew, len(recs))
 	}
 }

@@ -239,20 +239,16 @@ func New(sys *dssddi.System, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if cfg.WALPath != "" {
-		store, profiles, derr := openDurableStore(s.cfg)
+		store, derr := openDurableStore(s.cfg, s.patients)
 		if derr != nil {
 			ep.unref()
 			return nil, derr
 		}
-		s.patients.installRecovered(profiles)
 		s.patients.store = store
-		if len(profiles) > 0 {
-			// Recovered profiles re-embed against the booted model the
-			// same way a hot reload re-embeds the live registry: every
-			// recovered patient is scoring-ready before the first
-			// request.
-			s.patients.reembedAll(ep)
-		}
+		// Recovered profiles re-embed against the booted model the same
+		// way a hot reload re-embeds the live registry: every recovered
+		// patient is scoring-ready before the first request.
+		s.patients.reembedAll(ep)
 	}
 	s.epoch.Store(ep)
 	return s, nil
@@ -889,20 +885,31 @@ type PatientResponse struct {
 	Record *regproto.Record `json:"record,omitempty"`
 }
 
-// replicateRecord loads the canonical record for id when the request
-// asked for a replication echo (X-Replicate header present). A
-// concurrent writer may already have moved the record past this
-// mutation's version; fanning the newer record out is harmless under
-// last-writer-wins.
-func (s *Server) replicateRecord(r *http.Request, id string) *regproto.Record {
+// echoRecord returns the record a mutation installed when the request
+// asked for a replication echo (X-Replicate header present). The copy
+// is made only behind the header check, so a plain write never moves
+// its record to the heap.
+func echoRecord(r *http.Request, rec regproto.Record) *regproto.Record {
 	if r.Header.Get(regproto.ReplicateHeader) == "" {
 		return nil
 	}
-	recs := s.patients.recordsFor(regproto.SyncRequest{IDs: []string{id}})
-	if len(recs) == 0 {
-		return nil
+	echo := rec
+	return &echo
+}
+
+// writeRefusal answers a registry write that installed nothing: 404
+// for an id without a live record, 500 when the WAL append failed
+// (the client's profile was fine, the disk was not), and 400 for a
+// profile the model cannot embed.
+func writeRefusal(w http.ResponseWriter, id string, err error) int {
+	switch {
+	case errors.Is(err, errNotRegistered):
+		return notFound(w, "patient %q is not registered", id)
+	case errors.Is(err, errDurability):
+		return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+	default:
+		return badRequest(w, "invalid profile: %v", err)
 	}
-	return &recs[0]
 }
 
 func (s *Server) handlePatientPut(w http.ResponseWriter, r *http.Request, ep *servingEpoch) int {
@@ -914,21 +921,18 @@ func (s *Server) handlePatientPut(w http.ResponseWriter, r *http.Request, ep *se
 	if !decodeBody(w, r, &req) {
 		return http.StatusBadRequest
 	}
-	created, gen, version, err := s.patients.put(ep, obs.FromContext(r.Context()), id, req.Regimen, req.Features)
+	rec, gen, created, err := s.patients.put(ep, obs.FromContext(r.Context()), id, req.Regimen, req.Features)
 	if err != nil {
-		if errors.Is(err, errDurability) {
-			return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		}
-		return badRequest(w, "invalid profile: %v", err)
+		return writeRefusal(w, id, err)
 	}
 	status := http.StatusOK
 	if created {
 		status = http.StatusCreated
 	}
 	return writeJSON(w, status, PatientResponse{
-		ID: id, Created: created, Gen: gen, Version: version,
-		Regimen: req.Regimen, HasFeatures: req.Features != nil, Epoch: ep.id,
-		Record: s.replicateRecord(r, id),
+		ID: id, Created: created, Gen: gen, Version: rec.Version,
+		Regimen: rec.Regimen, HasFeatures: rec.Features != nil, Epoch: ep.id,
+		Record: echoRecord(r, rec),
 	})
 }
 
@@ -944,19 +948,13 @@ func (s *Server) handlePatientPatch(w http.ResponseWriter, r *http.Request, ep *
 	if req.Regimen == nil && req.Features == nil {
 		return badRequest(w, "pass regimen and/or features")
 	}
-	found, gen, version, merged, err := s.patients.patch(ep, obs.FromContext(r.Context()), id, req.Regimen, req.Features)
-	if !found {
-		return notFound(w, "patient %q is not registered", id)
-	}
+	rec, gen, err := s.patients.patch(ep, obs.FromContext(r.Context()), id, req.Regimen, req.Features)
 	if err != nil {
-		if errors.Is(err, errDurability) {
-			return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		}
-		return badRequest(w, "invalid profile: %v", err)
+		return writeRefusal(w, id, err)
 	}
 	return writeJSON(w, http.StatusOK, PatientResponse{
-		ID: id, Gen: gen, Version: version, Regimen: merged, Epoch: ep.id,
-		Record: s.replicateRecord(r, id),
+		ID: id, Gen: gen, Version: rec.Version, Regimen: rec.Regimen, Epoch: ep.id,
+		Record: echoRecord(r, rec),
 	})
 }
 
@@ -965,12 +963,12 @@ func (s *Server) handlePatientGet(w http.ResponseWriter, r *http.Request, _ *ser
 	if err := validPatientID(id); err != nil {
 		return badRequest(w, "%v", err)
 	}
-	regimen, features, gen, version, embEpoch, found := s.patients.get(id)
+	rec, gen, embEpoch, found := s.patients.get(id)
 	if !found {
 		return notFound(w, "patient %q is not registered", id)
 	}
 	return writeJSON(w, http.StatusOK, PatientResponse{
-		ID: id, Gen: gen, Version: version, Regimen: regimen, HasFeatures: features != nil, Epoch: embEpoch,
+		ID: id, Gen: gen, Version: rec.Version, Regimen: rec.Regimen, HasFeatures: rec.Features != nil, Epoch: embEpoch,
 	})
 }
 
@@ -979,16 +977,13 @@ func (s *Server) handlePatientDelete(w http.ResponseWriter, r *http.Request, _ *
 	if err := validPatientID(id); err != nil {
 		return badRequest(w, "%v", err)
 	}
-	found, version, err := s.patients.delete(id)
+	rec, err := s.patients.delete(obs.FromContext(r.Context()), id)
 	if err != nil {
-		return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-	}
-	if !found {
-		return notFound(w, "patient %q is not registered", id)
+		return writeRefusal(w, id, err)
 	}
 	return writeJSON(w, http.StatusOK, PatientResponse{
-		ID: id, Deleted: true, Version: version,
-		Record: s.replicateRecord(r, id),
+		ID: id, Deleted: true, Version: rec.Version,
+		Record: echoRecord(r, rec),
 	})
 }
 
