@@ -28,10 +28,12 @@ lint:
 	GOARCH=arm64 $(GO) vet ./...
 
 # The fuzz targets CI runs: the Prometheus exposition round trip, the
-# consistent-hash ring and the registry's WAL record codec.
+# consistent-hash ring, the router's routing rule and the registry's
+# WAL record codec.
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzWriteProm -fuzztime 20s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRing -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRouteKey -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 10s -fuzzminimizetime 100x
 
 # Train a tiny model, round-trip it through a snapshot, boot the HTTP

@@ -24,6 +24,11 @@ import (
 // replicas.
 const Shards = 16
 
+// MaxBodyBytes is the request-body cap of both tiers: the backends
+// refuse a larger body with 400, and the router refuses one before
+// routing it. The router splits a replica push into requests under it.
+const MaxBodyBytes = 1 << 20
+
 // Header names used by the replication paths.
 const (
 	// ReplicateHeader marks a router-originated mutation: the backend

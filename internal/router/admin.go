@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dssddi/internal/obs"
+	"dssddi/internal/regproto"
 )
 
 // ReloadRequest is the router's /v1/admin/reload body. Path names a
@@ -50,7 +51,7 @@ type RolloutResponse struct {
 // operator hears about it.
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req ReloadRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, regproto.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && err != io.EOF {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("invalid request body: %v", err)})

@@ -178,10 +178,13 @@ type backend struct {
 	lat obs.Histogram
 }
 
+// maxIdleConns bounds the kept-alive connections per backend.
+const maxIdleConns = 256
+
 func newBackend(name string, cfg Config) *backend {
 	transport := &http.Transport{
-		MaxIdleConns:        cfg.MaxIdleConns,
-		MaxIdleConnsPerHost: cfg.MaxIdleConns,
+		MaxIdleConns:        maxIdleConns,
+		MaxIdleConnsPerHost: maxIdleConns,
 		IdleConnTimeout:     90 * time.Second,
 	}
 	return &backend{

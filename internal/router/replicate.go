@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,18 +14,18 @@ import (
 	"dssddi/internal/regproto"
 )
 
-// Registry replication. With ReplicationFactor R > 1 every registered
-// patient's record lives on its ring owner plus the R-1 distinct ring
-// successors — a deterministic replica group that is a pure function
-// of the key and the member set. The router is the replication
+// Registry replication. Every registered patient's record lives on its
+// ring owner plus the R-1 distinct ring successors — a deterministic
+// replica group that is a pure function of the key and the member set
+// (at R=1, the owner alone). The router is the replication
 // coordinator:
 //
-//   - Writes go to the acting owner (first in-rotation group member)
-//     with an X-Replicate header; the backend assigns the record's
-//     monotonic version, WAL-logs it, and echoes the canonical record,
-//     which the router fans out to the remaining in-rotation group
-//     members. The write is acknowledged once the available-bounded
-//     quorum has it.
+//   - Writes go to the acting owner (first in-rotation group member),
+//     with an X-Replicate header when the group has other members; the
+//     backend assigns the record's monotonic version, WAL-logs it, and
+//     echoes the canonical record, which the router fans out to the
+//     remaining in-rotation group members. The write is acknowledged
+//     once the available-bounded quorum has it.
 //   - Reads fail over owner -> successors within the group; a response
 //     served by a non-owner is tagged X-Served-By-Replica, and a
 //     replica found missing the record is read-repaired in the
@@ -47,19 +48,19 @@ func (rt *Router) replicaGroup(key string) []string {
 // the record may live on a later member, in which case the 404-ing
 // replicas are stale and get read-repaired in the background. Only
 // when every reachable member says 404 is the patient genuinely
-// unregistered.
+// unregistered. A member that answered is not asked again: another,
+// backed-off pass runs only when an attempt of the last one failed at
+// transport level (the whole group mid-restart, say), and it also
+// tries the members the first pass skipped.
 func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, rq routed, body []byte, key string) {
 	id := strings.TrimPrefix(key, "p|")
 	tr, group := rq.tr, rq.candidates
 	backoff := rt.cfg.RetryBackoff
+	answered := make([]bool, len(group))
 	var notFound *capturedResponse
 	var notFoundFrom string
-	var stale []string // members that answered 404 before a hit
+	var stale []string // members that answered 404
 	var last *backend
-
-	// One pass over the group, then MaxRetries extra passes with
-	// backoff for the case where every member failed at transport
-	// level (e.g. the whole group is mid-restart).
 	for pass := 0; pass <= rt.cfg.MaxRetries; pass++ {
 		if pass > 0 {
 			remaining := time.Until(rq.deadline)
@@ -71,25 +72,25 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, rq r
 			backoff *= 2
 			rt.retriesTotal.Add(1)
 		}
-		tried := 0
-		for _, name := range group {
+		failed := false
+		for i, name := range group {
 			b := rt.backends[name]
-			if !b.health.Healthy() && pass == 0 {
+			if answered[i] || (pass == 0 && !b.health.Healthy()) {
 				continue // ejected members reconcile before serving reads
 			}
 			remaining := time.Until(rq.deadline)
 			if remaining <= 0 {
 				break
 			}
-			tried++
+			if pass > 0 {
+				b.retries.Add(1)
+			}
 			cr, err := rt.proxyCapture(r, tr, b, body, remaining, nil)
 			if err != nil {
-				last = b
-				if pass > 0 {
-					b.retries.Add(1)
-				}
+				last, failed = b, true
 				continue
 			}
+			answered[i] = true
 			if cr.status == http.StatusNotFound {
 				if notFound == nil {
 					notFound, notFoundFrom = cr, b.name
@@ -98,7 +99,7 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, rq r
 				tr.Eventf("backend %s misses %q; walking group", b.name, id)
 				continue
 			}
-			if name != group[0] {
+			if i > 0 {
 				rt.replicaReads.Add(1)
 				cr.header.Set(regproto.ServedByReplicaHeader, b.name)
 				tr.Eventf("read failed over to replica %s", b.name)
@@ -109,8 +110,8 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, rq r
 			relayCaptured(w, cr, b.name)
 			return
 		}
-		if tried == 0 {
-			break // nothing in rotation; no point backing off
+		if !failed {
+			break
 		}
 	}
 
@@ -194,14 +195,15 @@ func (rt *Router) scheduleReplicaRepair(b *backend, rec regproto.Record) {
 	}()
 }
 
-// forwardReplicatedWrite routes a registry mutation under replication:
-// the acting owner (first in-rotation group member) assigns the
-// record's version and WAL-logs it, the router fans the echoed record
-// out to the rest of the group, and the client is acknowledged once
-// the available-bounded write quorum holds the record. The acting
-// owner is found by the attempt walk over the group: full-replace PUT
-// and DELETE retry on transport failure — replaying them is safe under
-// last-writer-wins; PATCH stays single-shot.
+// forwardReplicatedWrite routes a registry mutation: the acting owner
+// (first in-rotation group member) assigns the record's version and
+// WAL-logs it, the router fans the echoed record out to the rest of
+// the group, and the client is acknowledged, without the echo, once
+// the available-bounded write quorum holds the record. At R=1 nothing
+// asks for an echo or fans out. The acting owner is found by the
+// attempt walk over the group: full-replace PUT and DELETE retry on
+// transport failure — replaying them is safe under last-writer-wins;
+// PATCH stays single-shot.
 func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request, body []byte, id string) {
 	rq, ok := rt.route(w, r, registeredKey(id), true)
 	if !ok {
@@ -212,7 +214,11 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 	if r.Method != http.MethodPatch {
 		tries += rt.cfg.MaxRetries
 	}
-	resp, acting := rt.attempt(r, rq, body, tries, http.Header{regproto.ReplicateHeader: {"1"}})
+	var echo http.Header
+	if len(group) > 1 {
+		echo = http.Header{regproto.ReplicateHeader: {"1"}}
+	}
+	resp, acting := rt.attempt(r, rq, body, tries, echo)
 	if resp == nil {
 		rt.writeUnrouted(w, rq, acting)
 		return
@@ -227,14 +233,11 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 	// Fan the canonical record out to the rest of the in-rotation
 	// group. Ejected members are skipped — they reconcile through
 	// anti-entropy before rejoining.
-	var echo struct {
-		Record *regproto.Record `json:"record"`
-	}
-	json.Unmarshal(resp.body, &echo)
+	rec := takeRecord(resp)
 	var acks atomic.Int64
 	acks.Store(1) // the acting owner's WAL-backed ack
 	fanout := 0
-	if echo.Record != nil {
+	if rec != nil {
 		t0 := time.Now()
 		var wg sync.WaitGroup
 		for _, name := range group {
@@ -249,11 +252,11 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 			wg.Add(1)
 			go func(b *backend) {
 				defer wg.Done()
-				if err := rt.applyRecords(b, []regproto.Record{*echo.Record}, 1); err != nil {
+				if err := rt.applyRecords(b, []regproto.Record{*rec}, 1); err != nil {
 					tr.Eventf("replica %s apply failed: %v", b.name, err)
 					// The ack already stands (available-bounded quorum);
 					// restore this member's copy off the request path.
-					rt.scheduleReplicaRepair(b, *echo.Record)
+					rt.scheduleReplicaRepair(b, *rec)
 					return
 				}
 				acks.Add(1)
@@ -262,7 +265,7 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 		}
 		wg.Wait()
 		rt.replicationFanouts.Add(int64(fanout))
-		tr.Eventf("replicated %q v%d to %d/%d group members", id, echo.Record.Version, acks.Load()-1, fanout)
+		tr.Eventf("replicated %q v%d to %d/%d group members", id, rec.Version, acks.Load()-1, fanout)
 	}
 
 	// The quorum is bounded by the members actually available: a
@@ -282,11 +285,38 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 	relayCaptured(w, resp, acting.name)
 }
 
-// applyRecords pushes records to one backend's replica-apply endpoint,
-// trying up to attempts times. Transport failures feed the health
-// machine; a non-200 (the backend refused the batch) is an error
-// without being a health signal.
+// takeRecord removes the replication echo from an acting owner's
+// answer, re-encoding its other members under a matching
+// Content-Length, and returns the echoed record (nil when the answer
+// carries none).
+func takeRecord(resp *capturedResponse) *regproto.Record {
+	var members map[string]json.RawMessage
+	var rec *regproto.Record
+	if json.Unmarshal(resp.body, &members) != nil || json.Unmarshal(members["record"], &rec) != nil || rec == nil {
+		return nil
+	}
+	delete(members, "record")
+	resp.body, _ = json.Marshal(members) // members decoded, so they encode
+	resp.header.Set("Content-Length", strconv.Itoa(len(resp.body)))
+	return rec
+}
+
+// applyRecords pushes records, in order, to one backend's replica-apply
+// endpoint, halving a push whose body would pass the backends' body
+// cap until each request fits; each request is tried up to attempts
+// times. Transport failures feed the health machine; a non-200 (the
+// backend refused the batch) is an error without being a health
+// signal.
 func (rt *Router) applyRecords(b *backend, recs []regproto.Record, attempts int) error {
+	if len(recs) > 1 {
+		if body, err := json.Marshal(regproto.ApplyRequest{Records: recs}); err == nil && len(body) > regproto.MaxBodyBytes {
+			half := len(recs) / 2
+			if err := rt.applyRecords(b, recs[:half], attempts); err != nil {
+				return err
+			}
+			return rt.applyRecords(b, recs[half:], attempts)
+		}
+	}
 	return withRetry(attempts, rt.cfg.RetryBackoff, func() error {
 		return rt.call(b, "replica apply", http.MethodPost, "/v1/admin/registry/apply", regproto.ApplyRequest{Records: recs}, nil)
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -457,6 +458,125 @@ func TestReplicatedConvergenceHammer(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || !verify.OK || verify.Records != workers {
 		t.Fatalf("post-hammer verify = status %d %+v, want OK with %d records", resp.StatusCode, verify, workers)
+	}
+}
+
+// TestPinnedReadUnknownIDOnePass: an id no group member holds is
+// answered 404 after one pass over the group — one attempt per member,
+// and no backed-off retry pass.
+func TestPinnedReadUnknownIDOnePass(t *testing.T) {
+	f := bootFleet(t, 2, "", replConfig())
+	resp, body := doJSON(t, http.MethodGet, f.rts.URL+"/v1/patients/nobody", nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET unknown id: status %d, want 404: %s", resp.StatusCode, body)
+	}
+	m := routerMetrics(t, f.rts.URL)
+	var attempts int64
+	for _, b := range m.Backends {
+		attempts += b.Requests
+	}
+	if attempts != 2 || m.Retries != 0 {
+		t.Fatalf("unknown id took %d backend attempts and %d retries, want 2 and 0", attempts, m.Retries)
+	}
+}
+
+// TestPinnedReadOwnerEjectedAtR1: at R=1 the replica group is the
+// owner alone, so a read whose owner is out of rotation is answered 503
+// with Retry-After at once, without an attempt at the ejected owner.
+func TestPinnedReadOwnerEjectedAtR1(t *testing.T) {
+	ts, name := fakeServer(t, func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte(`{}`)) })
+	cfg := fastConfig()
+	cfg.Backends, cfg.FailAfter, cfg.Cooldown = []string{name}, 1, 10*time.Second
+	rts := bootRouter(t, cfg)
+	ts.Close()
+	waitFor(t, "owner ejection", 5*time.Second, func() bool {
+		return routerMetrics(t, rts.URL).Backends[name].State == "ejected"
+	})
+	resp, body := doJSON(t, http.MethodGet, rts.URL+"/v1/patients/p-1", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("GET with the owner ejected: status %d, Retry-After %q, want 503 with one: %s", resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	if m := routerMetrics(t, rts.URL); m.Backends[name].Requests != 0 || m.Retries != 0 {
+		t.Fatalf("the ejected owner got %d attempts and %d retries, want none", m.Backends[name].Requests, m.Retries)
+	}
+}
+
+// TestReplicatedWriteAnswersAsAtR1: a write answers the client with the
+// same members at R=2 as at R=1 — the replication echo never reaches
+// the client, and Content-Length matches the relayed body — while the
+// echoed record still reaches both replicas.
+func TestReplicatedWriteAnswersAsAtR1(t *testing.T) {
+	sys, _ := systems(t)
+	put := map[string]any{"regimen": []int{0, 1}, "features": sys.Data().Features(0)}
+	answer := func(cfg Config) (*fleet, map[string]any) {
+		t.Helper()
+		f := bootFleet(t, 2, "", cfg)
+		resp, body := doJSON(t, http.MethodPut, f.rts.URL+"/v1/patients/echo-patient", put)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("R=%d PUT: status %d: %s", cfg.ReplicationFactor, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("R=%d PUT: Content-Length %d for a %d-byte body", cfg.ReplicationFactor, resp.ContentLength, len(body))
+		}
+		var members map[string]any
+		if err := json.Unmarshal(body, &members); err != nil {
+			t.Fatalf("R=%d PUT answer %s: %v", cfg.ReplicationFactor, body, err)
+		}
+		return f, members
+	}
+	_, one := answer(fastConfig())
+	f, two := answer(replConfig())
+	if _, ok := two["record"]; ok {
+		t.Fatalf("R=2 PUT answer carries the replication record: %v", two)
+	}
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("R=2 PUT answer %v, want the R=1 answer %v", two, one)
+	}
+	if a, b := digestOf(t, f.tss[0].URL), digestOf(t, f.tss[1].URL); a.Records != 1 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("replica digests %+v and %+v, want one record on both", a, b)
+	}
+}
+
+// digestOf fetches one backend's registry digests directly.
+func digestOf(t *testing.T, url string) regproto.DigestResponse {
+	t.Helper()
+	resp, body := doJSON(t, http.MethodGet, url+"/v1/admin/registry/digest", nil)
+	var d regproto.DigestResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &d) != nil {
+		t.Fatalf("digest of %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return d
+}
+
+// TestReconcilePushesPastBodyCap: a rejoining backend missing more
+// records than one apply request may carry (the backends refuse bodies
+// over the cap) still converges: the push is split into requests that
+// each fit under it.
+func TestReconcilePushesPastBodyCap(t *testing.T) {
+	f := bootFleet(t, 2, "", replConfig())
+	recs := make([]regproto.Record, 1500)
+	for i := range recs {
+		features := make([]float64, 71)
+		for j := range features {
+			features[j] = float64(i*71+j) / 977
+		}
+		recs[i] = regproto.Record{ID: fmt.Sprintf("bulk-%04d", i), Version: 1, Regimen: []int{i % 11, 11 + i%13}, Features: features}
+	}
+	if whole, _ := json.Marshal(regproto.ApplyRequest{Records: recs}); len(whole) <= regproto.MaxBodyBytes {
+		t.Fatalf("the full push is %d bytes, not past the %d-byte cap", len(whole), regproto.MaxBodyBytes)
+	}
+	const seedBatch = 250 // fits under the cap
+	for i := 0; i < len(recs); i += seedBatch {
+		resp, body := postJSON(t, f.tss[0].URL+"/v1/admin/registry/apply", regproto.ApplyRequest{Records: recs[i : i+seedBatch]})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeding records %d-%d: status %d: %s", i, i+seedBatch, resp.StatusCode, body)
+		}
+	}
+	if err := f.router.reconcile(f.router.backends[f.names[1]]); err != nil {
+		t.Fatalf("reconcile of an empty backend: %v", err)
+	}
+	if peer, rejoiner := digestOf(t, f.tss[0].URL), digestOf(t, f.tss[1].URL); rejoiner.Records != len(recs) || !reflect.DeepEqual(peer, rejoiner) {
+		t.Fatalf("rejoiner holds %d records, digests equal %t; want %d and equal", rejoiner.Records, reflect.DeepEqual(peer, rejoiner), len(recs))
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"dssddi/internal/obs"
+	"dssddi/internal/regproto"
 )
 
 // Config tunes the router. Backends is required; everything else has
@@ -33,7 +34,7 @@ type Config struct {
 	VNodes int
 	// ReplicationFactor is how many ring-ordered backends hold each
 	// registered patient's record: the owner plus R-1 successors
-	// (default 1 — no replication, registry state is owner-only).
+	// (default 1 — a replica group of one, the owner alone).
 	ReplicationFactor int
 	// WriteQuorum is how many replica-group acknowledgements a registry
 	// mutation needs before the router acknowledges it (default 1: the
@@ -66,13 +67,6 @@ type Config struct {
 	// client-supplied X-Deadline-Ms can only shrink the budget, never
 	// extend it (default 2x Timeout).
 	RequestBudget time.Duration
-	// MaxIdleConns bounds the kept-alive connections per backend
-	// (default 256).
-	MaxIdleConns int
-	// MaxBodyBytes bounds buffered request bodies (default 1<<20,
-	// matching the backends' own request cap). It bounds request bodies
-	// only: a backend's response is relayed whole.
-	MaxBodyBytes int64
 
 	// TraceSample is the fraction of routed requests recorded into the
 	// /debug/tracez rings (0 = off). A sampled request's trace carries
@@ -141,12 +135,6 @@ func (c *Config) fill() error {
 	}
 	if c.RequestBudget <= 0 {
 		c.RequestBudget = 2 * c.Timeout
-	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 256
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	return nil
 }
@@ -352,10 +340,9 @@ func (rt *Router) noteSuccess(b *backend) {
 // Handler returns the routed HTTP handler.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/suggest", rt.handleSuggest)
-	mux.HandleFunc("POST /v1/scores", rt.handleScores)
-	mux.HandleFunc("POST /v1/explain", rt.handleExplain)
-	mux.HandleFunc("POST /v1/alerts", rt.handleAlerts)
+	for _, p := range []string{"/v1/suggest", "/v1/scores", "/v1/explain", "/v1/alerts"} {
+		mux.HandleFunc("POST "+p, rt.handleScoring)
+	}
 	mux.HandleFunc("/v1/patients/{id}", rt.handlePatients)
 	mux.HandleFunc("POST /v1/admin/reload", rt.handleReload)
 	mux.HandleFunc("GET /v1/admin/registry/verify", rt.handleRegistryVerify)
@@ -446,25 +433,42 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Write(buf)
 }
 
-// routeProbe is the shallow body decode used only to extract the
-// routing key. Full validation stays on the backends — an undecodable
-// body is still forwarded so the backend's 400 is the single source
-// of truth for what a bad request looks like.
-type routeProbe struct {
-	Patient   int    `json:"patient"`
-	PatientID string `json:"patient_id"`
-	Patients  []int  `json:"patients"`
-	Drugs     []int  `json:"drugs"`
+// routeKey is the one routing rule of the scoring reads (suggest,
+// scores, explain and alerts), checked in this order: a registered
+// patient_id pins the request to that patient's replica group; else a
+// dataset patient index (patient, or the first of patients) keys it,
+// so one patient's reads all land on (and warm) one backend's caches;
+// else the sorted drug set does; else patient 0. The decode is shallow
+// and best-effort: full validation stays on the backends, and an
+// undecodable body is still forwarded so the backend's 400 is the
+// single source of truth for what a bad request looks like.
+func routeKey(body []byte) (key string, pinned bool) {
+	var probe struct {
+		PatientID string `json:"patient_id"`
+		Patient   *int   `json:"patient"`
+		Patients  []int  `json:"patients"`
+		Drugs     []int  `json:"drugs"`
+	}
+	json.Unmarshal(body, &probe)
+	switch {
+	case probe.PatientID != "":
+		return registeredKey(probe.PatientID), true
+	case probe.Patient != nil:
+		return patientKey(*probe.Patient), false
+	case len(probe.Patients) > 0:
+		return patientKey(probe.Patients[0]), false
+	case len(probe.Drugs) > 0:
+		return drugsKey(probe.Drugs), false
+	}
+	return patientKey(0), false
 }
 
-// patientKey is the routing key for a dataset-index patient. It is
-// shared by suggest/scores/explain/alerts so one patient's reads all
-// land on (and warm) one backend's caches.
+// patientKey is the routing key for a dataset-index patient.
 func patientKey(index int) string { return "i|" + strconv.Itoa(index) }
 
 // registeredKey is the routing key for a registered patient id. It is
-// the one key that carries state: the profile lives only on the
-// owning backend.
+// the one key that carries state: the profile lives only on the key's
+// replica group.
 func registeredKey(id string) string { return "p|" + id }
 
 func drugsKey(drugs []int) string {
@@ -478,8 +482,8 @@ func drugsKey(drugs []int) string {
 }
 
 // readBody buffers the request body so it can be replayed on retry.
-func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, regproto.MaxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("reading request body: %v", err)})
 		return nil, false
@@ -487,105 +491,31 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-func (rt *Router) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
+// handleScoring routes suggest, scores, explain and alerts by routeKey.
+func (rt *Router) handleScoring(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	var probe routeProbe
-	json.Unmarshal(body, &probe) // best-effort: key only
-	key := patientKey(probe.Patient)
-	pinned := false
-	if probe.PatientID != "" {
-		key = registeredKey(probe.PatientID)
-		pinned = true // registry state is shard-local
-	}
-	rt.forward(w, r, body, key, true, pinned)
+	key, pinned := routeKey(body)
+	rt.forward(w, r, body, key, pinned)
 }
 
-func (rt *Router) handleScores(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var probe routeProbe
-	json.Unmarshal(body, &probe)
-	key := patientKey(0)
-	if len(probe.Patients) > 0 {
-		key = patientKey(probe.Patients[0])
-	}
-	rt.forward(w, r, body, key, true, false)
-}
-
-func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Explain requests name a patient or an explicit drug set; the
-	// patient field is a pointer server-side, so distinguish "absent"
-	// from 0 here too.
-	var probe struct {
-		Patient *int  `json:"patient"`
-		Drugs   []int `json:"drugs"`
-	}
-	json.Unmarshal(body, &probe)
-	var key string
-	switch {
-	case probe.Patient != nil:
-		key = patientKey(*probe.Patient)
-	default:
-		key = drugsKey(probe.Drugs)
-	}
-	rt.forward(w, r, body, key, true, false)
-}
-
-func (rt *Router) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	body, ok := rt.readBody(w, r)
-	if !ok {
-		return
-	}
-	var probe struct {
-		Patient *int  `json:"patient"`
-		Drugs   []int `json:"drugs"`
-	}
-	json.Unmarshal(body, &probe)
-	var key string
-	switch {
-	case probe.Patient != nil:
-		key = patientKey(*probe.Patient)
-	default:
-		key = drugsKey(probe.Drugs)
-	}
-	rt.forward(w, r, body, key, true, false)
-}
-
+// handlePatients routes the registry endpoints at every replication
+// factor: a GET is a pinned read of the patient's replica group, and
+// any other method a mutation for the replicated write path. At R=1
+// the group is the owner alone.
 func (rt *Router) handlePatients(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	id := r.PathValue("id")
-	var body []byte
-	if r.Method == http.MethodPut || r.Method == http.MethodPatch {
-		var ok bool
-		if body, ok = rt.readBody(w, r); !ok {
-			return
-		}
-	}
-	key := registeredKey(id)
 	if r.Method == http.MethodGet {
-		rt.forward(w, r, nil, key, true, true)
+		rt.forward(w, r, body, registeredKey(id), true)
 		return
 	}
-	if rt.cfg.ReplicationFactor > 1 {
-		rt.forwardReplicatedWrite(w, r, body, id)
-		return
-	}
-	// Full-replace PUT and DELETE are idempotent by construction —
-	// replaying one after an ambiguous transport failure (connection
-	// refused or reset before the response arrived) converges to the
-	// same record — so they retry the owner under the request budget
-	// instead of surfacing a 502 for every restart race. PATCH merges
-	// and stays single-shot.
-	retryable := r.Method == http.MethodPut || r.Method == http.MethodDelete
-	rt.forward(w, r, body, key, retryable, true)
+	rt.forwardReplicatedWrite(w, r, body, id)
 }
 
 // deadlineHeader is the propagated request budget (mirrors the
@@ -620,8 +550,8 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key string, pinn
 		return routed{}, false
 	}
 	rt.backends[candidates[0]].routedKeys.Add(1)
-	if pinned && rt.cfg.ReplicationFactor < len(candidates) {
-		candidates = candidates[:rt.cfg.ReplicationFactor]
+	if pinned {
+		candidates = candidates[:min(len(candidates), rt.cfg.ReplicationFactor)]
 	}
 	deadline, expired := rt.requestDeadline(r)
 	if expired {
@@ -633,24 +563,19 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, key string, pinn
 	return routed{tr: obs.FromContext(r.Context()), candidates: candidates, pinned: pinned, deadline: deadline}, true
 }
 
-// forward proxies one request to the backend owning key through the
-// attempt walk; idempotent requests retry. A replicated
-// registered-patient read walks its replica group instead (see
-// forwardPinnedRead).
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string, idempotent, pinned bool) {
+// forward proxies one read to the backend owning key. A pinned key
+// walks its replica group (forwardPinnedRead); any other walks the
+// owner's ring successors through the attempt walk.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string, pinned bool) {
 	rq, ok := rt.route(w, r, key, pinned)
 	if !ok {
 		return
 	}
-	if pinned && idempotent && len(rq.candidates) > 1 {
+	if pinned {
 		rt.forwardPinnedRead(w, r, rq, body, key)
 		return
 	}
-	tries := 1
-	if idempotent {
-		tries += rt.cfg.MaxRetries
-	}
-	cr, b := rt.attempt(r, rq, body, tries, nil)
+	cr, b := rt.attempt(r, rq, body, 1+rt.cfg.MaxRetries, nil)
 	if cr == nil {
 		rt.writeUnrouted(w, rq, b)
 		return

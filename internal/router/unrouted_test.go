@@ -28,9 +28,9 @@ func fakeServer(t *testing.T, routed http.HandlerFunc) (*httptest.Server, string
 	return ts, strings.TrimPrefix(ts.URL, "http://")
 }
 
-// routedPaths are the ways a routed request reaches the fleet: the
-// plain forward (an index read, and a pinned read and write at R=1),
-// the replicated pinned read and the replicated write.
+// routedPaths are the router's three request paths: the forward of an
+// index read, and the replica-group walk of a pinned read and the
+// replicated write, each at R=1 (a group of one) and at R=2.
 var routedPaths = []struct {
 	name     string
 	replicas int

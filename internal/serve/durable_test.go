@@ -247,6 +247,48 @@ func TestGracefulCloseCheckpoints(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesFollowRecords: two registries holding the same 64
+// records write identical checkpoint bytes, whatever order the records
+// arrived in. With 64 records several shards hold more than one, so
+// the bytes depend on how each shard lists its records.
+func TestCheckpointBytesFollowRecords(t *testing.T) {
+	checkpoint := func(order []int) []byte {
+		t.Helper()
+		cfg := durableConfig(t.TempDir())
+		cfg.WALSync, cfg.CheckpointEvery = "off", -1
+		s, ts := newDurableServer(t, cfg)
+		for _, i := range order {
+			url := fmt.Sprintf("%s/v1/patients/ck-%02d", ts.URL, i)
+			if resp, body := doJSON(t, http.MethodPut, url, PatientPutRequest{Regimen: []int{i % 7, 7 + i%5}}); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("PUT ck-%02d: status %d: %s", i, resp.StatusCode, body)
+			}
+		}
+		ts.Close()
+		s.Close() // writes the final checkpoint
+		buf, err := os.ReadFile(cfg.WALPath + ".ckpt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	order := make([]int, 64)
+	for i := range order {
+		order[i] = i
+	}
+	shared := make(map[int]int)
+	for _, i := range order {
+		shared[regproto.ShardOf(fmt.Sprintf("ck-%02d", i))]++
+	}
+	if len(shared) == len(order) {
+		t.Fatal("every record has a shard to itself; the test cannot see the order within a shard")
+	}
+	first := checkpoint(order)
+	slices.Reverse(order)
+	if second := checkpoint(order); !bytes.Equal(first, second) {
+		t.Fatalf("the same 64 records wrote different checkpoints (%d vs %d bytes)", len(first), len(second))
+	}
+}
+
 // TestCorruptWALRefusesBoot: interior damage in the WAL must refuse
 // to start the server, not silently drop registered patients.
 func TestCorruptWALRefusesBoot(t *testing.T) {

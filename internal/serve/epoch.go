@@ -81,8 +81,8 @@ func (s *Server) newEpoch(sys *dssddi.System, precision string) (*servingEpoch, 
 		batcher:   newBatcher(sys, s.cfg.MaxBatch, s.cfg.BatchWindow, data.NumDrugs()),
 	}
 	half := s.cfg.CacheSize / 2
-	ep.suggestCache = newLRUCache(s.cfg.CacheSize-half, s.cfg.CacheShards)
-	ep.explainCache = newLRUCache(half, s.cfg.CacheShards)
+	ep.suggestCache = newLRUCache(s.cfg.CacheSize-half, cacheShards)
+	ep.explainCache = newLRUCache(half, cacheShards)
 	ep.refs.Store(1)
 	return ep, nil
 }

@@ -113,9 +113,8 @@ func runRegistryGolden(t *testing.T, dir string) (want []regproto.Record, walByt
 // TestRegistryFormatGolden pins the registry's on-disk formats with
 // the committed testdata/registry-v2.wal and registry-v2.ckpt: a
 // server booted on copies of them serves every expected record, and
-// replaying the sequence that made them writes a byte-identical WAL.
-// Checkpoint bytes are not compared: a checkpoint lists each shard's
-// records in map order, so booting on the fixture is what pins it.
+// replaying the sequence that made them writes a byte-identical WAL
+// and checkpoint (a checkpoint lists records in (shard, id) order).
 func TestRegistryFormatGolden(t *testing.T) {
 	goldenWAL := filepath.Join("testdata", "registry-v2.wal")
 	goldenCkpt := filepath.Join("testdata", "registry-v2.ckpt")
@@ -139,6 +138,9 @@ func TestRegistryFormatGolden(t *testing.T) {
 	ckpt, err := os.ReadFile(goldenCkpt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(ckptBytes, ckpt) {
+		t.Fatalf("replayed sequence wrote a checkpoint that differs from %s (%d vs %d bytes)", goldenCkpt, len(ckptBytes), len(ckpt))
 	}
 
 	// Boot on copies, so the server's own checkpoints never touch the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -388,10 +389,12 @@ func (r *patientRegistry) applyReplica(ep *servingEpoch, tr *obs.Trace, rec regp
 
 // records snapshots the records a sync request names — by id, by
 // shard, or every record when it names neither — tombstones included.
-// Sync, the digest and checkpoints all read through it. Slices are the
-// stored replace-only ones, safe to encode after the locks drop. The
-// reservation never scales with the shard list, which the client sends
-// and may repeat.
+// Sync, the digest and checkpoints all read through it. A shard's
+// records are listed in id order, so every listing is in (shard, id)
+// order and two registries holding the same records list the same
+// bytes. Slices are the stored replace-only ones, safe to encode after
+// the locks drop. The reservation never scales with the shard list,
+// which the client sends and may repeat.
 func (r *patientRegistry) records(req regproto.SyncRequest) []regproto.Record {
 	if len(req.IDs) > 0 {
 		out := make([]regproto.Record, 0, len(req.IDs))
@@ -411,11 +414,13 @@ func (r *patientRegistry) records(req regproto.SyncRequest) []regproto.Record {
 			continue
 		}
 		sh := &r.shards[i]
+		from := len(out)
 		sh.mu.RLock()
 		for _, p := range sh.items {
 			out = append(out, p.rec)
 		}
 		sh.mu.RUnlock()
+		slices.SortFunc(out[from:], func(a, b regproto.Record) int { return strings.Compare(a.ID, b.ID) })
 	}
 	return out
 }

@@ -77,16 +77,10 @@ type Config struct {
 	// CacheSize is the total entries across the suggest and explain
 	// result caches (default 4096; negative disables caching).
 	CacheSize int
-	// CacheShards spreads cache locking (default 16).
-	CacheShards int
 	// DefaultK is the suggestion list length when a request omits k
-	// (default 4, the paper's headline cut-off).
+	// (default 4, the paper's headline cut-off). A requested k is
+	// capped by the serving model's drug count.
 	DefaultK int
-	// MaxK caps requested list lengths (default: number of drugs).
-	MaxK int
-	// MaxScoreBatch caps the patients per /v1/scores request
-	// (default 256).
-	MaxScoreBatch int
 	// SnapshotPath is the default snapshot file /v1/admin/reload (and
 	// the SIGHUP / -watch wiring) reloads when a request names no
 	// path. Empty leaves path-less reloads disabled.
@@ -145,7 +139,14 @@ type Config struct {
 	MaxQueue int
 }
 
-func (c *Config) fill(drugs int) {
+// cacheShards spreads each result cache's locking; maxScoreBatch caps
+// the patients per /v1/scores request.
+const (
+	cacheShards   = 16
+	maxScoreBatch = 256
+)
+
+func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -155,17 +156,8 @@ func (c *Config) fill(drugs int) {
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
 	if c.DefaultK <= 0 {
 		c.DefaultK = 4
-	}
-	if c.MaxK <= 0 || c.MaxK > drugs {
-		c.MaxK = drugs
-	}
-	if c.MaxScoreBatch <= 0 {
-		c.MaxScoreBatch = 256
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 1024
@@ -217,7 +209,7 @@ func New(sys *dssddi.System, cfg Config) (*Server, error) {
 	if data == nil {
 		return nil, fmt.Errorf("serve: system is not trained")
 	}
-	cfg.fill(data.NumDrugs())
+	cfg.fill()
 	s := &Server{
 		cfg:      cfg,
 		metrics:  newRegistry("suggest", "scores", "explain", "alerts", "patients", "registry", "reload", "healthz", "metricsz"),
@@ -452,7 +444,7 @@ func notFound(w http.ResponseWriter, format string, args ...any) int {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, regproto.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		badRequest(w, "invalid request body: %v", err)
@@ -522,8 +514,8 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request, ep *servi
 	if k <= 0 {
 		k = s.cfg.DefaultK
 	}
-	if k > s.cfg.MaxK {
-		return badRequest(w, "k %d exceeds maximum %d", k, s.cfg.MaxK)
+	if k > ep.data.NumDrugs() {
+		return badRequest(w, "k %d exceeds maximum %d", k, ep.data.NumDrugs())
 	}
 	screen := req.Screen == nil || *req.Screen
 	nocache := bypassCache(r)
@@ -664,8 +656,8 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request, ep *servin
 	if len(req.Patients) == 0 {
 		return badRequest(w, "patients must be non-empty")
 	}
-	if len(req.Patients) > s.cfg.MaxScoreBatch {
-		return badRequest(w, "at most %d patients per request (got %d)", s.cfg.MaxScoreBatch, len(req.Patients))
+	if len(req.Patients) > maxScoreBatch {
+		return badRequest(w, "at most %d patients per request (got %d)", maxScoreBatch, len(req.Patients))
 	}
 	for _, p := range req.Patients {
 		if status, ok := ep.checkPatient(w, p); !ok {
@@ -730,18 +722,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, ep *servi
 		if k <= 0 {
 			k = s.cfg.DefaultK
 		}
-		if k > s.cfg.MaxK {
-			return badRequest(w, "k %d exceeds maximum %d", k, s.cfg.MaxK)
+		if k > ep.data.NumDrugs() {
+			return badRequest(w, "k %d exceeds maximum %d", k, ep.data.NumDrugs())
 		}
-		row, err := ep.batcher.Score(r.Context(), *req.Patient)
-		if err != nil {
-			if isDeadlineErr(err) {
-				return s.writeDeadlineExceeded(w)
-			}
-			return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		if err := r.Context().Err(); err != nil {
+			return s.writeDeadlineExceeded(w) // the propagated deadline expired in admission
 		}
-		suggs, err := ep.sys.SuggestFromScores(row, k)
-		ep.batcher.PutRow(row)
+		suggs, err := ep.sys.Suggest(*req.Patient, k)
 		if err != nil {
 			return writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
 		}
@@ -1006,7 +993,7 @@ type ReloadResponse struct {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, _ *servingEpoch) int {
 	var req ReloadRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, regproto.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && err != io.EOF {
 		return badRequest(w, "invalid request body: %v", err)
