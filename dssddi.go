@@ -247,6 +247,10 @@ type System struct {
 	ddiModel *ddi.Model
 	mdModel  *md.Model
 	trained  bool
+	// digest is data's identity digest (datasetDigest), taken once
+	// when the system is trained or loaded; nothing mutates a trained
+	// system's data.
+	digest string
 }
 
 // New creates an untrained system. Invalid configurations surface at
@@ -272,9 +276,6 @@ func (s *System) Train(data *Data) error {
 	if err := s.cfg.validate(); err != nil {
 		return err
 	}
-	s.backbone = b
-	s.data = data
-
 	syn, ant, _ := data.ds.DDI.CountBySign()
 	useSigned := syn > 0 && ant > 0
 	if !useSigned && (b == ddi.SGCN || b == ddi.SiGAT || b == ddi.SNEA) {
@@ -282,6 +283,10 @@ func (s *System) Train(data *Data) error {
 		// GIN on MIMIC for this reason).
 		return fmt.Errorf("dssddi: backbone %v needs both synergy and antagonism edges; this data has %d/%d (use GIN)", b, syn, ant)
 	}
+	// Past the last rejection: a rejected Train leaves the system, its
+	// data and its digest as they were.
+	s.backbone = b
+	s.data = data
 
 	dcfg := ddi.DefaultConfig()
 	dcfg.Backbone = b
@@ -299,6 +304,7 @@ func (s *System) Train(data *Data) error {
 	mcfg.Seed = s.cfg.Seed
 	s.mdModel = md.NewModel(data.ds, relEmb, mcfg)
 	s.mdModel.Train()
+	s.digest = datasetDigest(data.ds)
 	s.trained = true
 	return nil
 }

@@ -81,6 +81,28 @@ func TestSignedBackboneRejectedOnUnsignedData(t *testing.T) {
 	if err := sys.Train(data); err == nil {
 		t.Fatal("SGCN on unsigned MIMIC DDI must be rejected (paper Table IV note)")
 	}
+	// A rejected retrain leaves a trained system as it was: its data,
+	// its models and its dataset digest still agree.
+	chronic := GenerateChronic(4, 20, 20)
+	if err := sys.Train(chronic); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.SnapshotInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Train(data); err == nil {
+		t.Fatal("SGCN on unsigned MIMIC DDI must be rejected on a trained system too")
+	}
+	if sys.Data() != chronic {
+		t.Fatal("a rejected retrain replaced the trained system's data")
+	}
+	if after, err := sys.SnapshotInfo(); err != nil || after != before {
+		t.Fatalf("a rejected retrain changed the snapshot info: %+v, want %+v (%v)", after, before, err)
+	}
+	if _, err := sys.Suggest(chronic.NumPatients()-1, 3); err != nil {
+		t.Fatal(err)
+	}
 	cfg.Backbone = "GIN"
 	sys = New(cfg)
 	if err := sys.Train(data); err != nil {

@@ -322,9 +322,8 @@ func (rt *Router) applyRecords(b *backend, recs []regproto.Record, attempts int)
 	})
 }
 
-// syncRecords pulls records from one backend, retrying transient
-// failures. An empty request pulls the full registry (tombstones
-// included).
+// syncRecords pulls the records a sync request names from one
+// backend, tombstones included, retrying transient failures.
 func (rt *Router) syncRecords(b *backend, req regproto.SyncRequest) ([]regproto.Record, error) {
 	var sr regproto.SyncResponse
 	if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
@@ -333,6 +332,21 @@ func (rt *Router) syncRecords(b *backend, req regproto.SyncRequest) ([]regproto.
 		return nil, err
 	}
 	return sr.Records, nil
+}
+
+// syncAll pulls one backend's whole registry in (shard, id) order, one
+// shard per request: an answer must fit under maxControlBody, and a
+// shard stays under it long after the whole registry has passed it.
+func (rt *Router) syncAll(b *backend) ([]regproto.Record, error) {
+	var all []regproto.Record
+	for shard := 0; shard < regproto.Shards; shard++ {
+		recs, err := rt.syncRecords(b, regproto.SyncRequest{Shards: []int{shard}})
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, recs...)
+	}
+	return all, nil
 }
 
 // fetchDigest reads one backend's per-shard registry digests, retrying
@@ -363,13 +377,13 @@ func (rt *Router) reconcile(b *backend) error {
 		if p == b || !p.health.Healthy() {
 			continue
 		}
-		recs, err := rt.syncRecords(p, regproto.SyncRequest{})
+		recs, err := rt.syncAll(p)
 		if err != nil {
 			return fmt.Errorf("pulling from peer %s: %w", p.name, err)
 		}
 		regproto.Merge(merged, recs)
 	}
-	own, err := rt.syncRecords(b, regproto.SyncRequest{})
+	own, err := rt.syncAll(b)
 	if err != nil {
 		return fmt.Errorf("pulling from rejoiner: %w", err)
 	}
@@ -501,7 +515,7 @@ func (rt *Router) handleRegistryVerify(w http.ResponseWriter, _ *http.Request) {
 			resp.Backends = append(resp.Backends, VerifyBackend{Backend: name, State: rt.stateOf(name), OK: true})
 			continue
 		}
-		recs, err := rt.syncRecords(b, regproto.SyncRequest{})
+		recs, err := rt.syncAll(b)
 		if err != nil {
 			resp.OK = false
 			resp.Backends = append(resp.Backends, VerifyBackend{Backend: name, State: rt.stateOf(name), Error: err.Error()})

@@ -580,6 +580,55 @@ func TestReconcilePushesPastBodyCap(t *testing.T) {
 	}
 }
 
+// TestReconcileAndVerifyPastControlCap: a registry whose whole sync
+// answer is larger than the router reads from one control-plane answer
+// (maxControlBody) still reconciles and verifies, because both pull it
+// one shard per request. Both members of an R=2 fleet hold the smallest
+// number of 71-feature records whose single sync answer would cross the
+// cap, so reconcile has nothing to push. The cap is lowered to 1 MiB
+// for the test; crossing the real 64 MiB takes about 47,000 such
+// records and fails the same way.
+func TestReconcileAndVerifyPastControlCap(t *testing.T) {
+	defaultCap := maxControlBody
+	t.Cleanup(func() { maxControlBody = defaultCap }) // after the fleet stops
+	maxControlBody = 1 << 20
+	f := bootFleet(t, 2, "", replConfig())
+	features := make([]float64, 71)
+	for j := range features {
+		features[j] = -float64(j+1) / 977
+	}
+	var recs []regproto.Record
+	// A sync answer is json.Marshal(SyncResponse): {"records":[...]}.
+	size := int64(len(`{"records":[]}`) - 1)
+	for size <= maxControlBody {
+		i := len(recs)
+		rec := regproto.Record{ID: fmt.Sprintf("bulk-%06d", i), Version: 1, Regimen: []int{i % 11, 11 + i%13}, Features: features}
+		enc, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += int64(len(enc)) + 1
+		recs = append(recs, rec)
+	}
+	const seedBatch = 250 // fits under the backends' body cap
+	for _, ts := range f.tss {
+		for i := 0; i < len(recs); i += seedBatch {
+			resp, body := postJSON(t, ts.URL+"/v1/admin/registry/apply", regproto.ApplyRequest{Records: recs[i:min(i+seedBatch, len(recs))]})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("seeding records %d+: status %d: %s", i, resp.StatusCode, body)
+			}
+		}
+	}
+	if err := f.router.reconcile(f.router.backends[f.names[1]]); err != nil {
+		t.Errorf("reconcile over %d records (a %d-byte sync answer): %v", len(recs), size, err)
+	}
+	resp, body := doJSON(t, http.MethodGet, f.rts.URL+"/v1/admin/registry/verify", nil)
+	var v VerifyResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &v) != nil || !v.OK || v.Records != len(recs) {
+		t.Fatalf("verify over %d records: status %d: %.300s", len(recs), resp.StatusCode, body)
+	}
+}
+
 // TestHealthRetryAfterClampsSubSecond: near cooldown expiry the
 // remainder must never quote below one second — a raw 800ms remainder
 // truncates to Retry-After: 0 and tells clients to hammer.

@@ -275,9 +275,10 @@ func (rt *Router) probe(b *backend, cause string) bool {
 	return true
 }
 
-// maxControlBody bounds a control-plane answer; the largest is a full
-// registry sync.
-const maxControlBody = 64 << 20
+// maxControlBody bounds a control-plane answer; the largest is one
+// shard of a registry sync (syncAll). It is a variable only so that a
+// test can cross it without moving 64 MiB.
+var maxControlBody int64 = 64 << 20
 
 // call is the one control-plane round trip to a backend: method on
 // endpoint, with in (when non-nil) as the JSON request body, and a

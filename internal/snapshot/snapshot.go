@@ -18,6 +18,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 
 	"dssddi/internal/mat"
 )
@@ -30,20 +31,32 @@ const Magic = "dssddi-snapshot\x00"
 // do not know; writers always emit the current one.
 const Version = 1
 
-// maxLen bounds every length prefix read from the stream, so a corrupt
-// or adversarial file cannot make the decoder attempt a giant
-// allocation before the checksum is verified.
+// maxLen bounds every length prefix read from the stream, which keeps
+// sizes derived from one, such as 8*n bytes or rows*cols elements, far
+// from overflow.
 const maxLen = 1 << 28
+
+// maxPrealloc bounds the bytes a declared length may allocate before
+// any of its payload has arrived: a longer payload grows as its chunks
+// arrive, so a corrupt or adversarial length costs no more memory than
+// the stream actually carries (the checksum is only verified at the
+// end).
+const maxPrealloc = 8 << 20
+
+// chunkSize is the size of the one buffer every slice and string
+// payload moves through, so a payload costs one read or write and one
+// checksum update per chunk rather than per value.
+const chunkSize = 4096
 
 // Encoder writes the snapshot format to an underlying writer while
 // maintaining the running checksum. Errors are sticky: after the first
 // failed write every later call is a no-op and Finish reports the
 // error.
 type Encoder struct {
-	w   *bufio.Writer
-	crc hash.Hash32
-	err error
-	buf [8]byte
+	w     *bufio.Writer
+	crc   hash.Hash32
+	err   error
+	chunk [chunkSize]byte
 }
 
 // NewEncoder starts an encoder on w and writes the magic and version.
@@ -88,69 +101,75 @@ func (e *Encoder) write(p []byte) {
 
 // Uint32 writes a fixed 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.write(e.buf[:4])
+	binary.LittleEndian.PutUint32(e.chunk[:4], v)
+	e.write(e.chunk[:4])
 }
 
 // Int writes a signed integer as a fixed 64-bit value.
 func (e *Encoder) Int(v int) {
-	binary.LittleEndian.PutUint64(e.buf[:8], uint64(int64(v)))
-	e.write(e.buf[:8])
+	binary.LittleEndian.PutUint64(e.chunk[:8], uint64(int64(v)))
+	e.write(e.chunk[:8])
 }
 
 // Int64 writes a signed 64-bit integer.
 func (e *Encoder) Int64(v int64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], uint64(v))
-	e.write(e.buf[:8])
+	binary.LittleEndian.PutUint64(e.chunk[:8], uint64(v))
+	e.write(e.chunk[:8])
 }
 
 // Bool writes a boolean as one byte.
 func (e *Encoder) Bool(v bool) {
-	e.buf[0] = 0
+	e.chunk[0] = 0
 	if v {
-		e.buf[0] = 1
+		e.chunk[0] = 1
 	}
-	e.write(e.buf[:1])
+	e.write(e.chunk[:1])
 }
 
 // Float writes a float64 as its IEEE 754 bit pattern.
 func (e *Encoder) Float(v float64) {
-	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(v))
-	e.write(e.buf[:8])
+	binary.LittleEndian.PutUint64(e.chunk[:8], math.Float64bits(v))
+	e.write(e.chunk[:8])
 }
 
 // String writes a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
 	e.Int(len(s))
-	if e.err != nil {
-		return
+	for len(s) > 0 && e.err == nil {
+		n := copy(e.chunk[:], s)
+		e.write(e.chunk[:n])
+		s = s[n:]
 	}
-	if _, err := e.w.WriteString(s); err != nil {
-		e.err = err
-		return
-	}
-	e.crc.Write([]byte(s))
-}
-
-// Bytes writes a length-prefixed byte blob.
-func (e *Encoder) Bytes(p []byte) {
-	e.Int(len(p))
-	e.write(p)
 }
 
 // Ints writes a length-prefixed []int.
 func (e *Encoder) Ints(v []int) {
 	e.Int(len(v))
-	for _, x := range v {
-		e.Int(x)
+	for len(v) > 0 && e.err == nil {
+		n := min(len(v), chunkSize/8)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(e.chunk[8*i:], uint64(int64(x)))
+		}
+		e.write(e.chunk[:8*n])
+		v = v[n:]
 	}
 }
 
 // Floats writes a length-prefixed []float64.
 func (e *Encoder) Floats(v []float64) {
 	e.Int(len(v))
-	for _, x := range v {
-		e.Float(x)
+	e.floats(v)
+}
+
+// floats writes v's bit patterns, one chunk at a time.
+func (e *Encoder) floats(v []float64) {
+	for len(v) > 0 && e.err == nil {
+		n := min(len(v), chunkSize/8)
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(e.chunk[8*i:], math.Float64bits(x))
+		}
+		e.write(e.chunk[:8*n])
+		v = v[n:]
 	}
 }
 
@@ -173,9 +192,7 @@ func (e *Encoder) Matrix(m *mat.Dense) {
 	e.Bool(true)
 	e.Int(m.Rows())
 	e.Int(m.Cols())
-	for _, x := range m.Data() {
-		e.Float(x)
-	}
+	e.floats(m.Data())
 }
 
 // Finish flushes buffered output, appends the CRC32 footer and returns
@@ -184,8 +201,8 @@ func (e *Encoder) Finish() error {
 	if e.err != nil {
 		return e.err
 	}
-	binary.LittleEndian.PutUint32(e.buf[:4], e.crc.Sum32())
-	if _, err := e.w.Write(e.buf[:4]); err != nil {
+	binary.LittleEndian.PutUint32(e.chunk[:4], e.crc.Sum32())
+	if _, err := e.w.Write(e.chunk[:4]); err != nil {
 		return err
 	}
 	return e.w.Flush()
@@ -211,13 +228,15 @@ type Decoder struct {
 	crc     hash.Hash32
 	err     error
 	version uint32
-	buf     [8]byte
+	chunk   [chunkSize]byte
 }
 
 // NewDecoder starts a decoder on r, checking the magic and reading the
 // version (available via Version).
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	// The stream is read from r 64 KiB at a time: a model snapshot is a
+	// few MB, and each read is a system call on a file.
+	d := &Decoder{r: bufio.NewReaderSize(r, 64<<10), crc: crc32.NewIEEE()}
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(d.r, magic); err != nil {
 		return nil, fmt.Errorf("snapshot: reading magic: %w", err)
@@ -251,44 +270,48 @@ func (d *Decoder) read(p []byte) {
 
 // Uint32 reads a fixed 32-bit unsigned integer.
 func (d *Decoder) Uint32() uint32 {
-	d.read(d.buf[:4])
+	d.read(d.chunk[:4])
 	if d.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(d.buf[:4])
+	return binary.LittleEndian.Uint32(d.chunk[:4])
 }
 
 // Int reads a signed integer written by Encoder.Int.
 func (d *Decoder) Int() int {
-	d.read(d.buf[:8])
+	d.read(d.chunk[:8])
 	if d.err != nil {
 		return 0
 	}
-	return int(int64(binary.LittleEndian.Uint64(d.buf[:8])))
+	return int(int64(binary.LittleEndian.Uint64(d.chunk[:8])))
 }
 
 // Int64 reads a signed 64-bit integer.
 func (d *Decoder) Int64() int64 {
-	d.read(d.buf[:8])
+	d.read(d.chunk[:8])
 	if d.err != nil {
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint64(d.buf[:8]))
+	return int64(binary.LittleEndian.Uint64(d.chunk[:8]))
 }
 
-// Bool reads a boolean.
+// Bool reads a boolean. The encoder writes only 0 or 1, so any other
+// byte is corrupt.
 func (d *Decoder) Bool() bool {
-	d.read(d.buf[:1])
-	return d.err == nil && d.buf[0] != 0
+	d.read(d.chunk[:1])
+	if d.err == nil && d.chunk[0] > 1 {
+		d.err = fmt.Errorf("snapshot: corrupt bool byte %d", d.chunk[0])
+	}
+	return d.err == nil && d.chunk[0] == 1
 }
 
 // Float reads a float64 bit pattern.
 func (d *Decoder) Float() float64 {
-	d.read(d.buf[:8])
+	d.read(d.chunk[:8])
 	if d.err != nil {
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(d.buf[:8]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.chunk[:8]))
 }
 
 // length reads and bounds-checks a length prefix.
@@ -304,32 +327,31 @@ func (d *Decoder) length(what string) int {
 	return n
 }
 
-// String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.length("string")
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	p := make([]byte, n)
-	d.read(p)
-	if d.err != nil {
-		return ""
-	}
-	return string(p)
-}
-
-// Bytes reads a length-prefixed byte blob.
-func (d *Decoder) Bytes() []byte {
-	n := d.length("bytes")
-	if d.err != nil {
-		return nil
-	}
-	p := make([]byte, n)
+// next reads the next min(n, chunkSize) bytes of the stream into the
+// chunk buffer and returns them, or nil once the decoder has failed.
+func (d *Decoder) next(n int) []byte {
+	p := d.chunk[:min(n, chunkSize)]
 	d.read(p)
 	if d.err != nil {
 		return nil
 	}
 	return p
+}
+
+// String reads a length-prefixed string.
+func (d *Decoder) String() string {
+	n := d.length("string")
+	var b strings.Builder
+	b.Grow(min(n, maxPrealloc))
+	for n > 0 {
+		p := d.next(n)
+		if p == nil {
+			return ""
+		}
+		b.Write(p)
+		n -= len(p)
+	}
+	return b.String()
 }
 
 // Ints reads a length-prefixed []int.
@@ -338,12 +360,16 @@ func (d *Decoder) Ints() []int {
 	if d.err != nil {
 		return nil
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = d.Int()
-	}
-	if d.err != nil {
-		return nil
+	v := make([]int, 0, min(n, maxPrealloc/8))
+	for n > 0 {
+		p := d.next(8 * n)
+		if p == nil {
+			return nil
+		}
+		for i := 0; i < len(p); i += 8 {
+			v = append(v, int(int64(binary.LittleEndian.Uint64(p[i:]))))
+		}
+		n -= len(p) / 8
 	}
 	return v
 }
@@ -354,36 +380,28 @@ func (d *Decoder) Floats() []float64 {
 	if d.err != nil {
 		return nil
 	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = d.Float()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return v
+	return d.floats(n)
 }
 
-// FloatsInto reads a length-prefixed []float64 into dst's backing
-// store, growing it only when capacity runs out — the reuse-friendly
-// form of Floats for load loops that decode many slices into scratch.
-// The returned slice aliases dst's array whenever it fits.
-func (d *Decoder) FloatsInto(dst []float64) []float64 {
-	n := d.length("float slice")
-	if d.err != nil {
-		return nil
+// floats reads n float64 bit patterns into a fresh slice.
+func (d *Decoder) floats(n int) []float64 {
+	return d.appendFloats(make([]float64, 0, min(n, maxPrealloc/8)), n)
+}
+
+// appendFloats reads n float64 bit patterns onto v, one chunk at a
+// time, growing v past its capacity only as the payload arrives.
+func (d *Decoder) appendFloats(v []float64, n int) []float64 {
+	for n > 0 {
+		p := d.next(8 * n)
+		if p == nil {
+			return nil
+		}
+		for i := 0; i < len(p); i += 8 {
+			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(p[i:])))
+		}
+		n -= len(p) / 8
 	}
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = d.Float()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return dst
+	return v
 }
 
 // FloatArena hands out float64 slices carved from large shared blocks,
@@ -415,20 +433,17 @@ func (a *FloatArena) Alloc(n int) []float64 {
 
 // FloatsArena reads a length-prefixed []float64 into arena-backed
 // storage — Floats for callers that retain the decoded slice and
-// decode many of them.
+// decode many of them. A slice longer than an arena block gets its own
+// allocation, as Floats would.
 func (d *Decoder) FloatsArena(a *FloatArena) []float64 {
 	n := d.length("float slice")
 	if d.err != nil {
 		return nil
 	}
-	v := a.Alloc(n)
-	for i := range v {
-		v[i] = d.Float()
+	if n > floatArenaBlock {
+		return d.floats(n)
 	}
-	if d.err != nil {
-		return nil
-	}
-	return v
+	return d.appendFloats(a.Alloc(n)[:0], n)
 }
 
 // Strings reads a length-prefixed []string.
@@ -437,9 +452,9 @@ func (d *Decoder) Strings() []string {
 	if d.err != nil {
 		return nil
 	}
-	v := make([]string, n)
-	for i := range v {
-		v[i] = d.String()
+	v := make([]string, 0, min(n, maxPrealloc/16))
+	for ; n > 0 && d.err == nil; n-- {
+		v = append(v, d.String())
 	}
 	if d.err != nil {
 		return nil
@@ -460,10 +475,7 @@ func (d *Decoder) Matrix() *mat.Dense {
 		d.err = fmt.Errorf("snapshot: corrupt matrix dimensions %dx%d", rows, cols)
 		return nil
 	}
-	data := make([]float64, rows*cols)
-	for i := range data {
-		data[i] = d.Float()
-	}
+	data := d.floats(rows * cols)
 	if d.err != nil {
 		return nil
 	}
@@ -489,10 +501,10 @@ func (d *Decoder) Verify() error {
 		return d.err
 	}
 	want := d.crc.Sum32() // snapshot before the footer bytes perturb it
-	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
+	if _, err := io.ReadFull(d.r, d.chunk[:4]); err != nil {
 		return fmt.Errorf("snapshot: reading checksum footer: %w", err)
 	}
-	got := binary.LittleEndian.Uint32(d.buf[:4])
+	got := binary.LittleEndian.Uint32(d.chunk[:4])
 	if got != want {
 		return fmt.Errorf("snapshot: checksum mismatch (stored %08x, computed %08x): file is corrupt or truncated", got, want)
 	}

@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +23,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	e.Float(math.Inf(-1))
 	e.String("hello, snapshot")
 	e.String("")
-	e.Bytes([]byte{1, 2, 3})
 	e.Ints([]int{7, -8, 9})
 	e.Ints(nil)
 	e.Floats([]float64{1.5, -2.25})
@@ -32,6 +33,17 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 	e.Matrix(m)
 	e.Matrix(nil)
+	// Payloads that span several chunks, ending mid-chunk.
+	long := strings.Repeat("0123456789", 3*chunkSize/10+1)
+	longInts := make([]int, chunkSize/4+3)
+	longFloats := make([]float64, len(longInts))
+	for i := range longInts {
+		longInts[i] = -i * 7919
+		longFloats[i] = float64(i) / 3
+	}
+	e.String(long)
+	e.Ints(longInts)
+	e.Floats(longFloats)
 	if err := e.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -67,9 +79,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if got := d.String(); got != "" {
 		t.Fatalf("empty String: %q", got)
 	}
-	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("Bytes: %v", got)
-	}
 	ints := d.Ints()
 	if len(ints) != 3 || ints[0] != 7 || ints[1] != -8 || ints[2] != 9 {
 		t.Fatalf("Ints: %v", ints)
@@ -96,6 +105,15 @@ func TestRoundTripPrimitives(t *testing.T) {
 	}
 	if d.Matrix() != nil {
 		t.Fatal("nil Matrix must round-trip to nil")
+	}
+	if got := d.String(); got != long {
+		t.Fatalf("multi-chunk String: %d bytes back, want %d", len(got), len(long))
+	}
+	if got := d.Ints(); !slices.Equal(got, longInts) {
+		t.Fatalf("multi-chunk Ints: %d values back, want %v...", len(got), longInts[:3])
+	}
+	if got := d.Floats(); !slices.Equal(got, longFloats) {
+		t.Fatalf("multi-chunk Floats: %d values back, want %v...", len(got), longFloats[:3])
 	}
 	if err := d.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
@@ -199,11 +217,53 @@ func TestGiantLengthRejectedBeforeAllocation(t *testing.T) {
 	}
 }
 
-// TestFloatsIntoAndArena covers the allocation-reusing decode variants:
-// FloatsInto fills caller storage when it fits (allocating only on
-// growth), FloatsArena carves retained slices out of shared blocks, and
-// both read exactly the bits Floats would.
-func TestFloatsIntoAndArena(t *testing.T) {
+// TestDeclaredLengthAllocationBounded: a stream that declares a long
+// payload and then ends costs at most maxPrealloc up front, for every
+// reader that allocates by a declared length. Each claim is 64 MiB of
+// payload, within maxLen, so only the allocation bound stops it.
+func TestDeclaredLengthAllocationBounded(t *testing.T) {
+	const claim = 1 << 23 // elements; 64 MiB of 8-byte values
+	var arena FloatArena
+	cases := []struct {
+		name  string
+		write func(e *Encoder)
+		read  func(d *Decoder)
+	}{
+		{"Matrix", func(e *Encoder) { e.Bool(true); e.Int(claim >> 11); e.Int(1 << 11) }, func(d *Decoder) { d.Matrix() }},
+		{"Floats", func(e *Encoder) { e.Int(claim) }, func(d *Decoder) { d.Floats() }},
+		{"FloatsArena", func(e *Encoder) { e.Int(claim) }, func(d *Decoder) { d.FloatsArena(&arena) }},
+		{"Ints", func(e *Encoder) { e.Int(claim) }, func(d *Decoder) { d.Ints() }},
+		{"Strings", func(e *Encoder) { e.Int(claim / 2) }, func(d *Decoder) { d.Strings() }},
+		{"String", func(e *Encoder) { e.Int(8 * claim) }, func(d *Decoder) { _ = d.String() }},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		e := NewEncoder(&buf)
+		c.write(e)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDecoder(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.read(d)
+		runtime.ReadMemStats(&after)
+		if d.Err() == nil {
+			t.Fatalf("%s: a stream that ends after its length prefix decoded without error", c.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > maxPrealloc+1<<20 {
+			t.Errorf("%s: a %d-byte stream declaring 64 MiB allocated %.1f MiB, want at most %d MiB", c.name, buf.Len(), float64(got)/(1<<20), maxPrealloc>>20+1)
+		}
+	}
+}
+
+// TestFloatsArena covers the allocation-reusing decode variant:
+// FloatsArena carves retained slices out of shared blocks and reads
+// exactly the bits Floats would.
+func TestFloatsArena(t *testing.T) {
 	vals := [][]float64{
 		{1.5, -2.25, math.Pi},
 		nil,
@@ -215,7 +275,7 @@ func TestFloatsIntoAndArena(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		for _, v := range vals {
 			e.Floats(v)
 		}
@@ -242,14 +302,6 @@ func TestFloatsIntoAndArena(t *testing.T) {
 	}
 	for _, want := range vals {
 		check("Floats", d.Floats(), want)
-	}
-	scratch := make([]float64, 0, 128)
-	for _, want := range vals {
-		got := d.FloatsInto(scratch)
-		check("FloatsInto", got, want)
-		if len(want) > 0 && len(want) <= cap(scratch) && &got[0] != &scratch[:1][0] {
-			t.Fatal("FloatsInto allocated despite sufficient capacity")
-		}
 	}
 	var arena FloatArena
 	got := make([][]float64, len(vals))

@@ -164,6 +164,7 @@ func Load(r io.Reader) (*System, error) {
 		ddiModel: ddiModel,
 		mdModel:  mdModel,
 		trained:  true,
+		digest:   info.DatasetSHA256,
 	}, nil
 }
 
@@ -208,7 +209,7 @@ func (s *System) snapshotInfo() SnapshotInfo {
 		MDEpochs:      s.cfg.MDEpochs,
 		Delta:         s.cfg.Delta,
 		Alpha:         s.cfg.Alpha,
-		DatasetSHA256: datasetDigest(s.data.ds),
+		DatasetSHA256: s.digest,
 	}
 }
 
@@ -242,9 +243,10 @@ func readHeader(d *snapshot.Decoder) SnapshotInfo {
 }
 
 // datasetDigest is the canonical dataset identity: the SHA-256 of the
-// deterministic dataset encoding. Save stamps it into the header and
-// Load recomputes it from the decoded dataset, so a snapshot whose
-// header and payload disagree is rejected.
+// deterministic dataset encoding. Train takes it once and Save stamps
+// it into the header; Load recomputes it from the decoded dataset, so a
+// snapshot whose header and payload disagree is rejected, and then
+// keeps the verified header value.
 func datasetDigest(ds *dataset.Dataset) string {
 	h := sha256.New()
 	e := snapshot.NewRawEncoder(h)

@@ -291,9 +291,11 @@ func TestConcurrentServingHammer(t *testing.T) {
 // TestGoldenV1SnapshotLoads is the forward-compatibility gate: a
 // committed format-version-1 snapshot must keep loading (and serving —
 // including the inductive patient layer, which derives all of its
-// state from what v1 already persists) in every future build. If the
-// format ever has to bump, this test must be updated to assert a
-// clear, versioned rejection instead of silent corruption.
+// state from what v1 already persists) in every future build, and
+// saving the loaded system must write the fixture's bytes again, which
+// pins the encoder to v1 as well. If the format ever has to bump, this
+// test must be updated to assert a clear, versioned rejection instead
+// of silent corruption.
 func TestGoldenV1SnapshotLoads(t *testing.T) {
 	f, err := os.Open("testdata/golden-v1.snap")
 	if err != nil {
@@ -336,5 +338,17 @@ func TestGoldenV1SnapshotLoads(t *testing.T) {
 	}
 	if _, err := sys.SuggestFor(PatientProfile{Regimen: []int{0, 1}}, 3); err != nil {
 		t.Fatalf("regimen-only profile on the golden model: %v", err)
+	}
+
+	fixture, err := os.ReadFile("testdata/golden-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := sys.Save(&resaved); err != nil {
+		t.Fatalf("saving the golden model: %v", err)
+	}
+	if !bytes.Equal(resaved.Bytes(), fixture) {
+		t.Fatalf("Save(Load(golden-v1.snap)) wrote %d bytes that differ from the %d-byte fixture: the encoder drifted from format v1", resaved.Len(), len(fixture))
 	}
 }
