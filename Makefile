@@ -29,13 +29,14 @@ lint:
 
 # The fuzz targets CI runs: the Prometheus exposition round trip, the
 # consistent-hash ring, the router's routing rule, the registry's WAL
-# record codec and the snapshot decoder.
+# record codec, the snapshot decoder and the registry merge.
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzWriteProm -fuzztime 20s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRing -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRouteKey -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecoder -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/regproto -run '^$$' -fuzz FuzzMerge -fuzztime 10s -fuzzminimizetime 100x
 
 # Train a tiny model, round-trip it through a snapshot, boot the HTTP
 # server on an ephemeral port, smoke every endpoint and record a

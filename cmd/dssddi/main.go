@@ -23,7 +23,7 @@ import (
 	"log"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,6 +31,7 @@ import (
 	"dssddi/internal/alerts"
 	"dssddi/internal/benchfmt"
 	"dssddi/internal/mat"
+	"dssddi/internal/metrics"
 )
 
 // options collects the flags shared by the subcommands.
@@ -363,7 +364,7 @@ func precisionStats(sys *dssddi.System, sample, k int) ([]benchfmt.PrecisionStat
 				st.MaxAbsDelta = d
 			}
 		}
-		if sliceEq(topK(row, k), topK(oracle[i], k)) {
+		if slices.Equal(metrics.TopK(row, k), metrics.TopK(oracle[i], k)) {
 			invariant++
 		}
 	}
@@ -374,33 +375,6 @@ func precisionStats(sys *dssddi.System, sample, k int) ([]benchfmt.PrecisionStat
 		return nil, err
 	}
 	return []benchfmt.PrecisionStats{st}, nil
-}
-
-// topK returns the indices of the k highest scores in descending score
-// order, ties broken by lower index — the same order a ranked
-// suggestion list presents.
-func topK(scores []float64, k int) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	if k < len(idx) {
-		idx = idx[:k]
-	}
-	return idx
-}
-
-func sliceEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func parseDrugs(spec string) ([]int, error) {

@@ -59,7 +59,9 @@ type Record struct {
 	Features []float64 `json:"features,omitempty"`
 }
 
-// Newer reports whether r supersedes other under last-writer-wins.
+// Newer reports whether r supersedes other under last-writer-wins. It
+// is the one ordering rule of the replication protocol: Merge, the
+// backends' replica apply and the router's anti-entropy all ask it.
 func (r Record) Newer(other Record) bool { return r.Version > other.Version }
 
 // ShardDigest summarizes one shard's records: how many, and a SHA-256
@@ -158,11 +160,11 @@ func DigestShards(records []Record) []ShardDigest {
 }
 
 // Merge folds a batch of records into an LWW-authoritative map: a
-// record wins its slot if it is the first seen for its id or strictly
-// newer than the held one.
+// record wins its slot if it is the first seen for its id or Newer
+// than the held one.
 func Merge(into map[string]Record, batch []Record) {
 	for _, r := range batch {
-		if cur, ok := into[r.ID]; !ok || r.Version > cur.Version {
+		if cur, ok := into[r.ID]; !ok || r.Newer(cur) {
 			into[r.ID] = r
 		}
 	}

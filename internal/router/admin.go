@@ -298,6 +298,10 @@ type BackendMetrics struct {
 	KeyShare   float64               `json:"key_share" prom:"-"`
 	RingShare  float64               `json:"ring_share" prom:"dssddi_router_backend_ring_share,gauge" help:"Fraction of the hash ring the backend owns."`
 	Latency    obs.HistogramSnapshot `json:"-" prom:"dssddi_router_backend_duration_seconds,histogram" help:"Proxy attempt latency by backend."`
+	// LastReconcileError is the reason the latest failed reconcile
+	// gave, such as the shard whose digest diverged.
+	ReconcileFailures  int64  `json:"reconcile_failures" prom:"dssddi_router_backend_reconcile_failures_total,counter" help:"Half-open trials of the backend whose anti-entropy reconcile failed."`
+	LastReconcileError string `json:"last_reconcile_error,omitempty" prom:"-"`
 }
 
 // Metrics is the router's /metricsz payload.
@@ -382,6 +386,8 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		if total > 0 {
 			bm.KeyShare = float64(bm.RoutedKeys) / float64(total)
 		}
+		bm.ReconcileFailures = b.reconcileFailures.Load()
+		bm.LastReconcileError, _ = b.lastReconcileError.Load().(string)
 		m.Backends[name] = bm
 	}
 	if r.URL.Query().Get("format") == "prometheus" {

@@ -171,6 +171,9 @@ type backend struct {
 	errors     atomic.Int64 // transport failures of proxied attempts
 	retries    atomic.Int64 // attempts that were retries of a failed one
 	routedKeys atomic.Int64 // requests whose key this backend owned
+	// Half-open trials whose reconcile failed, and the latest reason.
+	reconcileFailures  atomic.Int64
+	lastReconcileError atomic.Value // a string
 	// lat is the per-backend attempt latency distribution. Fixed
 	// buckets shared with the serve tier, so the router's fleet view
 	// can sum the per-backend histograms bucket-wise into an exact

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,7 +105,9 @@ func (rt *Router) forwardPinnedRead(w http.ResponseWriter, r *http.Request, rq r
 				tr.Eventf("read failed over to replica %s", b.name)
 			}
 			if cr.status < 300 && len(stale) > 0 {
-				rt.scheduleReadRepair(id, b.name, stale)
+				rt.scheduleRepair(id, stale, func() ([]regproto.Record, error) {
+					return rt.syncRecords(b, regproto.SyncRequest{IDs: []string{id}})
+				})
 			}
 			relayCaptured(w, cr, b.name)
 			return
@@ -142,56 +144,40 @@ func withRetry(attempts int, backoff time.Duration, f func() error) error {
 	return err
 }
 
-// repairAttempts bounds background repair retries. Each failed attempt
-// doubles the backoff, so the chain stays short in wall-clock terms
-// while surviving several consecutive connection-level faults.
+// repairAttempts bounds the tries of each repair and anti-entropy call;
+// with the doubling backoff it outlasts several faults in a row.
 const repairAttempts = 6
 
-// scheduleReadRepair refreshes replicas that missed a record, pulling
-// the canonical copy from the member that served the read and applying
-// it (version-gated, so a concurrent newer write always wins) to the
-// stale members. Runs in the background — the read that discovered the
-// staleness has already been answered.
-func (rt *Router) scheduleReadRepair(id, from string, stale []string) {
-	targets := append([]string(nil), stale...)
+// scheduleRepair pushes the records fetch returns to each target in the
+// background; the backends gate applies on version, so a newer write
+// always wins. A failover read schedules one for the replicas found
+// missing a record, and a write for a member whose fan-out apply
+// failed, so a flaky member does not decay into a stale replica.
+func (rt *Router) scheduleRepair(id string, targets []string, fetch func() ([]regproto.Record, error)) {
 	rt.repairWG.Add(1)
 	go func() {
 		defer rt.repairWG.Done()
-		recs, err := rt.syncRecords(rt.backends[from], regproto.SyncRequest{IDs: []string{id}})
-		if err != nil || len(recs) == 0 {
-			return
-		}
-		repaired := false
+		recs, err := fetch()
+		var repaired []string
 		for _, name := range targets {
-			if rt.applyRecords(rt.backends[name], recs, repairAttempts) == nil {
-				repaired = true
+			if len(recs) == 0 {
+				break // the fetch failed, or the source no longer holds the record
 			}
+			if aerr := rt.applyRecords(rt.backends[name], recs, repairAttempts); aerr != nil {
+				err = aerr
+				continue
+			}
+			repaired = append(repaired, name)
 		}
-		if repaired {
+		switch {
+		case len(repaired) > 0:
 			rt.readRepairs.Add(1)
 			if rt.logger != nil {
-				rt.logger.Info("read repair", "patient", id, "from", from, "repaired", targets)
+				rt.logger.Info("replica repair", "patient", id, "repaired", repaired)
 			}
+		case err != nil && rt.logger != nil:
+			rt.logger.Warn("replica repair abandoned", "patient", id, "targets", targets, "err", err)
 		}
-	}()
-}
-
-// scheduleReplicaRepair keeps retrying a fan-out apply that failed in
-// the request path. The write was already acknowledged under the
-// available-bounded quorum; redundancy is restored in the background so
-// a healthy-but-flaky member cannot silently decay into a stale replica
-// that only the next anti-entropy round would catch.
-func (rt *Router) scheduleReplicaRepair(b *backend, rec regproto.Record) {
-	rt.repairWG.Add(1)
-	go func() {
-		defer rt.repairWG.Done()
-		if err := rt.applyRecords(b, []regproto.Record{rec}, repairAttempts); err != nil {
-			if rt.logger != nil {
-				rt.logger.Warn("replica repair abandoned", "backend", b.name, "patient", rec.ID, "version", rec.Version, "err", err)
-			}
-			return
-		}
-		rt.readRepairs.Add(1)
 	}()
 }
 
@@ -256,7 +242,9 @@ func (rt *Router) forwardReplicatedWrite(w http.ResponseWriter, r *http.Request,
 					tr.Eventf("replica %s apply failed: %v", b.name, err)
 					// The ack already stands (available-bounded quorum);
 					// restore this member's copy off the request path.
-					rt.scheduleReplicaRepair(b, *rec)
+					rt.scheduleRepair(id, []string{b.name}, func() ([]regproto.Record, error) {
+						return []regproto.Record{*rec}, nil
+					})
 					return
 				}
 				acks.Add(1)
@@ -302,24 +290,42 @@ func takeRecord(resp *capturedResponse) *regproto.Record {
 }
 
 // applyRecords pushes records, in order, to one backend's replica-apply
-// endpoint, halving a push whose body would pass the backends' body
-// cap until each request fits; each request is tried up to attempts
-// times. Transport failures feed the health machine; a non-200 (the
-// backend refused the batch) is an error without being a health
-// signal.
+// endpoint. Each record is encoded once, and the encodings are cut
+// greedily into bodies under the body cap, each byte-identical to the
+// json.Marshal of its regproto.ApplyRequest (a record too large to fit
+// alone goes alone and is refused); each is tried up to attempts times.
+// Transport failures feed the health machine; a non-200 is an error
+// without being a health signal.
 func (rt *Router) applyRecords(b *backend, recs []regproto.Record, attempts int) error {
-	if len(recs) > 1 {
-		if body, err := json.Marshal(regproto.ApplyRequest{Records: recs}); err == nil && len(body) > regproto.MaxBodyBytes {
-			half := len(recs) / 2
-			if err := rt.applyRecords(b, recs[:half], attempts); err != nil {
+	const head, tail = `{"records":`, `]}`
+	var body []byte
+	send := func() error {
+		req := json.RawMessage(append(body, tail...))
+		body = nil
+		return withRetry(attempts, rt.cfg.RetryBackoff, func() error {
+			return rt.call(b, "replica apply", http.MethodPost, "/v1/admin/registry/apply", req, nil)
+		})
+	}
+	for _, rec := range recs {
+		enc, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if body != nil && len(body)+1+len(enc)+len(tail) > regproto.MaxBodyBytes {
+			if err := send(); err != nil {
 				return err
 			}
-			return rt.applyRecords(b, recs[half:], attempts)
 		}
+		sep := byte(',')
+		if body == nil { // sized for one record, all a write's fan-out sends
+			body, sep = append(make([]byte, 0, len(head)+1+len(enc)+len(tail)), head...), '['
+		}
+		body = append(append(body, sep), enc...)
 	}
-	return withRetry(attempts, rt.cfg.RetryBackoff, func() error {
-		return rt.call(b, "replica apply", http.MethodPost, "/v1/admin/registry/apply", regproto.ApplyRequest{Records: recs}, nil)
-	})
+	if body == nil {
+		return nil
+	}
+	return send()
 }
 
 // syncRecords pulls the records a sync request names from one
@@ -334,150 +340,109 @@ func (rt *Router) syncRecords(b *backend, req regproto.SyncRequest) ([]regproto.
 	return sr.Records, nil
 }
 
-// syncAll pulls one backend's whole registry in (shard, id) order, one
-// shard per request: an answer must fit under maxControlBody, and a
-// shard stays under it long after the whole registry has passed it.
-func (rt *Router) syncAll(b *backend) ([]regproto.Record, error) {
-	var all []regproto.Record
-	for shard := 0; shard < regproto.Shards; shard++ {
-		recs, err := rt.syncRecords(b, regproto.SyncRequest{Shards: []int{shard}})
-		if err != nil {
-			return nil, err
+// pull is the first anti-entropy step of reconcile and verify. It reads
+// each member's whole registry, one shard per sync request (an answer
+// must fit under maxControlBody, and a shard stays under it long after
+// the whole registry has passed it), and merges what it read in member
+// order, so on a version tie the earlier member's record stays. held[i]
+// is members[i]'s records in (shard, id) order.
+func (rt *Router) pull(members []*backend) (held [][]regproto.Record, merged map[string]regproto.Record, err error) {
+	held, merged = make([][]regproto.Record, len(members)), make(map[string]regproto.Record)
+	for i, b := range members {
+		for shard := 0; shard < regproto.Shards; shard++ {
+			recs, err := rt.syncRecords(b, regproto.SyncRequest{Shards: []int{shard}})
+			if err != nil {
+				return nil, nil, fmt.Errorf("pulling from %s: %w", b.name, err)
+			}
+			held[i] = append(held[i], recs...)
 		}
-		all = append(all, recs...)
+		regproto.Merge(merged, held[i])
 	}
-	return all, nil
+	return held, merged, nil
 }
 
-// fetchDigest reads one backend's per-shard registry digests, retrying
-// transient failures.
-func (rt *Router) fetchDigest(b *backend) (*regproto.DigestResponse, error) {
-	var dr regproto.DigestResponse
-	if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
-		return rt.call(b, "registry digest", http.MethodGet, "/v1/admin/registry/digest", nil, &dr)
-	}); err != nil {
-		return nil, err
+// owed returns the merged records the named member should hold, those
+// its replica groups own, and the subset it holds at an older version
+// or not at all, in id order.
+func (rt *Router) owed(merged map[string]regproto.Record, name string, held []regproto.Record) (want, lacks []regproto.Record) {
+	have := make(map[string]regproto.Record, len(held))
+	for _, rec := range held {
+		have[rec.ID] = rec
 	}
-	return &dr, nil
-}
-
-// reconcile runs one anti-entropy round for a recovering backend and
-// verifies digest convergence; the caller returns b to rotation only
-// on nil. The merge is bidirectional last-writer-wins: writes the
-// rejoiner accepted as acting owner that never fanned out flow to
-// their current group members, and everything the rejoiner missed (or
-// lost — a wiped disk rejoins empty) flows in.
-func (rt *Router) reconcile(b *backend) error {
-	rt.antiEntropySyncs.Add(1)
-
-	// The fleet's view, merged LWW across every in-rotation peer.
-	merged := make(map[string]regproto.Record)
-	for _, name := range rt.order {
-		p := rt.backends[name]
-		if p == b || !p.health.Healthy() {
-			continue
-		}
-		recs, err := rt.syncAll(p)
-		if err != nil {
-			return fmt.Errorf("pulling from peer %s: %w", p.name, err)
-		}
-		regproto.Merge(merged, recs)
-	}
-	own, err := rt.syncAll(b)
-	if err != nil {
-		return fmt.Errorf("pulling from rejoiner: %w", err)
-	}
-
-	// Outward: records where the rejoiner is strictly newest.
-	var outward []regproto.Record
-	for _, rec := range own {
-		if have, ok := merged[rec.ID]; !ok || rec.Newer(have) {
-			outward = append(outward, rec)
-		}
-	}
-	regproto.Merge(merged, own)
-	pushed := 0
-	if len(outward) > 0 {
-		perPeer := make(map[string][]regproto.Record)
-		for _, rec := range outward {
-			for _, name := range rt.replicaGroup(registeredKey(rec.ID)) {
-				if name != b.name && rt.backends[name].health.Healthy() {
-					perPeer[name] = append(perPeer[name], rec)
-				}
-			}
-		}
-		for name, batch := range perPeer {
-			sort.Slice(batch, func(i, j int) bool { return batch[i].ID < batch[j].ID })
-			if err := rt.applyRecords(rt.backends[name], batch, repairAttempts); err != nil {
-				return fmt.Errorf("pushing %d records to %s: %w", len(batch), name, err)
-			}
-			pushed += len(batch)
-		}
-	}
-
-	// Inward: everything the rejoiner's replica groups hold that it is
-	// missing or stale on. The apply endpoint is version-gated, so
-	// shipping the full expected set is idempotent.
-	ownVersion := make(map[string]uint64, len(own))
-	for _, rec := range own {
-		ownVersion[rec.ID] = rec.Version
-	}
-	var inward []regproto.Record
-	expected := make([]regproto.Record, 0, len(merged))
 	for id, rec := range merged {
-		if !rt.groupContains(registeredKey(id), b.name) {
+		if !slices.Contains(rt.replicaGroup(registeredKey(id)), name) {
 			continue
 		}
-		expected = append(expected, rec)
-		if v, ok := ownVersion[id]; !ok || v < rec.Version {
-			inward = append(inward, rec)
+		want = append(want, rec)
+		if cur, ok := have[id]; !ok || rec.Newer(cur) {
+			lacks = append(lacks, rec)
 		}
 	}
-	if len(inward) > 0 {
-		sort.Slice(inward, func(i, j int) bool { return inward[i].ID < inward[j].ID })
-		if err := rt.applyRecords(b, inward, repairAttempts); err != nil {
-			return fmt.Errorf("pushing %d records to rejoiner: %w", len(inward), err)
-		}
-		pushed += len(inward)
-	}
-	rt.antiEntropyRecords.Add(int64(pushed))
+	slices.SortFunc(lacks, func(x, y regproto.Record) int { return strings.Compare(x.ID, y.ID) })
+	return want, lacks
+}
 
-	// Convergence gate: the rejoiner's digests must match, shard for
-	// shard, the digests of exactly the records its groups own.
-	want := regproto.DigestShards(expected)
-	got, err := rt.fetchDigest(b)
-	if err != nil {
-		return fmt.Errorf("verifying digest: %w", err)
+// audit compares b's per-shard registry digests with the digests of
+// want, the records b should hold, and names the first shard that
+// diverges.
+func (rt *Router) audit(b *backend, want []regproto.Record) error {
+	var got regproto.DigestResponse
+	if err := withRetry(repairAttempts, rt.cfg.RetryBackoff, func() error {
+		return rt.call(b, "registry digest", http.MethodGet, "/v1/admin/registry/digest", nil, &got)
+	}); err != nil {
+		return fmt.Errorf("reading digest: %w", err)
 	}
-	if err := diffDigests(want, got.Shards); err != nil {
-		return fmt.Errorf("rejoiner %s not converged: %w", b.name, err)
+	shards := regproto.DigestShards(want)
+	if len(got.Shards) != len(shards) {
+		return fmt.Errorf("digest shape mismatch: %d vs %d shards", len(got.Shards), len(shards))
 	}
-	if rt.logger != nil {
-		rt.logger.Info("anti-entropy reconciled", "backend", b.name, "records", len(expected), "pushed", pushed)
+	for i, w := range shards {
+		if g := got.Shards[i]; g != w {
+			return fmt.Errorf("shard %d diverges (%d vs %d records)", w.Shard, g.Records, w.Records)
+		}
 	}
 	return nil
 }
 
-// groupContains reports whether name is in key's replica group.
-func (rt *Router) groupContains(key, name string) bool {
-	for _, n := range rt.replicaGroup(key) {
-		if n == name {
-			return true
+// reconcile runs one anti-entropy round for a recovering backend b and
+// gates its readmission: the caller returns b to rotation only on nil.
+// It pulls every in-rotation peer and then b, and pushes every pulled
+// member what it lacks: writes b accepted as acting owner that never
+// fanned out reach their other group members, everything b missed (or
+// lost: a wiped disk rejoins empty) reaches b, and a peer an earlier
+// outage left behind catches up too. b must then hold exactly what its
+// groups own, digest for digest.
+func (rt *Router) reconcile(b *backend) error {
+	rt.antiEntropySyncs.Add(1)
+	var members []*backend
+	for _, name := range rt.order {
+		if p := rt.backends[name]; p != b && p.health.Healthy() {
+			members = append(members, p)
 		}
 	}
-	return false
-}
-
-// diffDigests compares two per-shard digest sets (both always carry
-// every shard, in shard order).
-func diffDigests(want, got []regproto.ShardDigest) error {
-	if len(want) != len(got) {
-		return fmt.Errorf("digest shape mismatch: %d vs %d shards", len(got), len(want))
+	members = append(members, b) // last, so the in-rotation fleet wins a version tie
+	held, merged, err := rt.pull(members)
+	if err != nil {
+		return err
 	}
-	for i := range want {
-		if want[i].Shard != got[i].Shard || want[i].Digest != got[i].Digest {
-			return fmt.Errorf("shard %d diverges (%d vs %d records)", want[i].Shard, got[i].Records, want[i].Records)
+	var want []regproto.Record // b's, once the loop is done
+	pushed := 0
+	for i, m := range members {
+		var lacks []regproto.Record
+		if want, lacks = rt.owed(merged, m.name, held[i]); len(lacks) == 0 {
+			continue
 		}
+		if err := rt.applyRecords(m, lacks, repairAttempts); err != nil {
+			return fmt.Errorf("pushing %d records to %s: %w", len(lacks), m.name, err)
+		}
+		rt.antiEntropyRecords.Add(int64(len(lacks)))
+		pushed += len(lacks)
+	}
+	if err := rt.audit(b, want); err != nil {
+		return fmt.Errorf("%s not converged: %w", b.name, err)
+	}
+	if rt.logger != nil {
+		rt.logger.Info("anti-entropy reconciled", "backend", b.name, "records", len(want), "pushed", pushed)
 	}
 	return nil
 }
@@ -492,64 +457,51 @@ type VerifyBackend struct {
 }
 
 // VerifyResponse is the /v1/admin/registry/verify payload: whether
-// every in-rotation backend's registry digests match the fleet-merged
-// expectation for its replica groups.
+// every backend was audited and its registry digests match the
+// fleet-merged expectation for its replica groups.
 type VerifyResponse struct {
 	OK       bool            `json:"ok"`
 	Records  int             `json:"records"` // live (non-tombstone) fleet records
 	Backends []VerifyBackend `json:"backends"`
 }
 
-// handleRegistryVerify audits replication convergence across the
-// in-rotation fleet: it merges every backend's records (LWW), then
-// checks each backend's digests against exactly the records its
-// replica groups should hold. Ejected members are reported but not
-// audited — they reconcile before rejoining.
+// handleRegistryVerify audits replication convergence with reconcile's
+// steps: it pulls every in-rotation member and audits each against the
+// merged records its replica groups own. It does not pull an
+// out-of-rotation member (a black-holed one would hold the request
+// through every retry of its first shard), and lists it as not
+// audited, so the answer is 200 only when every member was audited and
+// agrees.
 func (rt *Router) handleRegistryVerify(w http.ResponseWriter, _ *http.Request) {
-	merged := make(map[string]regproto.Record)
-	resp := VerifyResponse{OK: true}
-	healthy := make(map[string][]regproto.Record)
+	var members []*backend
 	for _, name := range rt.order {
-		b := rt.backends[name]
-		if !b.health.Healthy() {
-			resp.Backends = append(resp.Backends, VerifyBackend{Backend: name, State: rt.stateOf(name), OK: true})
-			continue
+		if b := rt.backends[name]; b.health.Healthy() {
+			members = append(members, b)
 		}
-		recs, err := rt.syncAll(b)
-		if err != nil {
-			resp.OK = false
-			resp.Backends = append(resp.Backends, VerifyBackend{Backend: name, State: rt.stateOf(name), Error: err.Error()})
-			continue
-		}
-		healthy[name] = recs
-		regproto.Merge(merged, recs)
 	}
+	held, merged, err := rt.pull(members)
+	resp := VerifyResponse{OK: true}
 	for _, rec := range merged {
 		if !rec.Deleted {
 			resp.Records++
 		}
 	}
 	for _, name := range rt.order {
-		recs, ok := healthy[name]
-		if !ok {
-			continue
-		}
-		vb := VerifyBackend{Backend: name, State: rt.stateOf(name), Records: len(recs), OK: true}
-		var expected []regproto.Record
-		for id, rec := range merged {
-			if rt.groupContains(registeredKey(id), name) {
-				expected = append(expected, rec)
+		vb := VerifyBackend{Backend: name, State: rt.stateOf(name)}
+		switch i := slices.Index(members, rt.backends[name]); {
+		case i < 0:
+			vb.Error = "not audited: out of rotation"
+		case err != nil:
+			vb.Error = err.Error()
+		default:
+			want, _ := rt.owed(merged, name, held[i])
+			vb.Records = len(held[i])
+			if err := rt.audit(members[i], want); err != nil {
+				vb.Error = err.Error()
 			}
 		}
-		got, err := rt.fetchDigest(rt.backends[name])
-		if err != nil {
-			vb.OK, vb.Error = false, err.Error()
-		} else if err := diffDigests(regproto.DigestShards(expected), got.Shards); err != nil {
-			vb.OK, vb.Error = false, err.Error()
-		}
-		if !vb.OK {
-			resp.OK = false
-		}
+		vb.OK = vb.Error == ""
+		resp.OK = resp.OK && vb.OK
 		resp.Backends = append(resp.Backends, vb)
 	}
 	status := http.StatusOK

@@ -147,41 +147,8 @@ func TestReplicatedWriteFanout(t *testing.T) {
 // and bitwise-identical to the owner's answers. The pinned-503 dead
 // end is gone.
 func TestFailoverReadServedByReplica(t *testing.T) {
-	sys, _ := systems(t)
-	f := &fleet{}
-	var gate *gatedHandler
-	for i := 0; i < 3; i++ {
-		s, err := serve.New(sys, serve.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handler := http.Handler(s.Handler())
-		if i == 2 {
-			gate = &gatedHandler{h: handler}
-			gate.open.Store(true)
-			handler = gate
-		}
-		ts := httptest.NewServer(handler)
-		f.backends = append(f.backends, s)
-		f.tss = append(f.tss, ts)
-		f.names = append(f.names, strings.TrimPrefix(ts.URL, "http://"))
-	}
-	cfg := replConfig()
-	cfg.Backends = f.names
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.router = rt
-	f.rts = httptest.NewServer(rt.Handler())
-	t.Cleanup(func() {
-		f.rts.Close()
-		rt.Close()
-		for i := range f.tss {
-			f.tss[i].Close()
-			f.backends[i].Close()
-		}
-	})
+	f, gate := gatedFleet(t, 3, 2, replConfig())
+	rt := f.router
 	gated := f.names[2]
 	id := ownerOf(t, f.names, rt.cfg.VNodes, gated, "fr")
 
@@ -366,43 +333,11 @@ func TestReplicaRejoinAntiEntropy(t *testing.T) {
 // healthy), a quorum-2 write is refused rather than silently
 // under-replicated.
 func TestReplicatedWriteQuorumFailure(t *testing.T) {
-	sys, _ := systems(t)
-	f := &fleet{}
-	var gate *gatedHandler
-	for i := 0; i < 2; i++ {
-		s, err := serve.New(sys, serve.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handler := http.Handler(s.Handler())
-		if i == 1 {
-			gate = &gatedHandler{h: handler}
-			gate.open.Store(true)
-			handler = gate
-		}
-		ts := httptest.NewServer(handler)
-		f.backends = append(f.backends, s)
-		f.tss = append(f.tss, ts)
-		f.names = append(f.names, strings.TrimPrefix(ts.URL, "http://"))
-	}
 	cfg := replConfig()
 	cfg.ProbeInterval = time.Hour // no probes: the gated member stays nominally healthy
 	cfg.FailAfter = 100           // and passive failures do not eject it mid-test
-	cfg.Backends = f.names
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.router = rt
-	f.rts = httptest.NewServer(rt.Handler())
-	t.Cleanup(func() {
-		f.rts.Close()
-		rt.Close()
-		for i := range f.tss {
-			f.tss[i].Close()
-			f.backends[i].Close()
-		}
-	})
+	f, gate := gatedFleet(t, 2, 1, cfg)
+	rt := f.router
 
 	// An id owned by the healthy backend, so the acting owner write
 	// succeeds and only the fan-out to the gated replica can fail.

@@ -253,6 +253,8 @@ func (rt *Router) trial(b *backend) {
 	}
 	if rt.cfg.ReplicationFactor > 1 {
 		if err := rt.reconcile(b); err != nil {
+			b.reconcileFailures.Add(1)
+			b.lastReconcileError.Store(err.Error())
 			rt.noteFailure(b, "reconcile", err)
 			return
 		}
@@ -276,23 +278,26 @@ func (rt *Router) probe(b *backend, cause string) bool {
 }
 
 // maxControlBody bounds a control-plane answer; the largest is one
-// shard of a registry sync (syncAll). It is a variable only so that a
+// shard of a registry sync (pull). It is a variable only so that a
 // test can cross it without moving 64 MiB.
 var maxControlBody int64 = 64 << 20
 
 // call is the one control-plane round trip to a backend: method on
-// endpoint, with in (when non-nil) as the JSON request body, and a
-// 200's JSON body decoded into out (when non-nil). Any other status is
-// the error "<endpoint> returned <status>", named by the endpoint's
-// last path element. A transport failure also feeds b's health machine
-// under cause; callers that count every failure themselves, or none,
-// pass "".
+// endpoint, with in (when non-nil) as the JSON request body (a
+// json.RawMessage goes out as is), and a 200's JSON body decoded into
+// out (when non-nil). Any other status is the error "<endpoint>
+// returned <status>", named by the endpoint's last path element. A
+// transport failure also feeds b's health machine under cause; callers
+// that count every failure themselves, or none, pass "".
 func (rt *Router) call(b *backend, cause, method, endpoint string, in, out any) error {
 	var reqBody io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
+		buf, ok := in.(json.RawMessage)
+		if !ok {
+			var err error
+			if buf, err = json.Marshal(in); err != nil {
+				return err
+			}
 		}
 		reqBody = bytes.NewReader(buf)
 	}

@@ -354,6 +354,47 @@ func (g *gatedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	panic("gated handler: hijack unsupported")
 }
 
+// gatedFleet is bootFleet without snapshots, with one backend behind a
+// gatedHandler that starts open.
+func gatedFleet(t *testing.T, n, gated int, cfg Config) (*fleet, *gatedHandler) {
+	t.Helper()
+	sys, _ := systems(t)
+	f := &fleet{}
+	gate := &gatedHandler{}
+	gate.open.Store(true)
+	for i := 0; i < n; i++ {
+		s, err := serve.New(sys, serve.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handler := http.Handler(s.Handler())
+		if i == gated {
+			gate.h = handler
+			handler = gate
+		}
+		ts := httptest.NewServer(handler)
+		f.backends = append(f.backends, s)
+		f.tss = append(f.tss, ts)
+		f.names = append(f.names, strings.TrimPrefix(ts.URL, "http://"))
+	}
+	cfg.Backends = f.names
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.router = rt
+	f.rts = httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		f.rts.Close()
+		rt.Close()
+		for i := range f.tss {
+			f.tss[i].Close()
+			f.backends[i].Close()
+		}
+	})
+	return f, gate
+}
+
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -371,41 +412,8 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 // ejects it; pinned registry traffic for its shard is refused rather
 // than silently served elsewhere; on recovery, its keys return.
 func TestRouterFailoverEjectionRecovery(t *testing.T) {
-	sys, _ := systems(t)
-	f := &fleet{}
-	var gate *gatedHandler
-	for i := 0; i < 3; i++ {
-		s, err := serve.New(sys, serve.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handler := http.Handler(s.Handler())
-		if i == 2 {
-			gate = &gatedHandler{h: handler}
-			gate.open.Store(true)
-			handler = gate
-		}
-		ts := httptest.NewServer(handler)
-		f.backends = append(f.backends, s)
-		f.tss = append(f.tss, ts)
-		f.names = append(f.names, strings.TrimPrefix(ts.URL, "http://"))
-	}
-	cfg := fastConfig()
-	cfg.Backends = f.names
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.router = rt
-	f.rts = httptest.NewServer(rt.Handler())
-	t.Cleanup(func() {
-		f.rts.Close()
-		rt.Close()
-		for i := range f.tss {
-			f.tss[i].Close()
-			f.backends[i].Close()
-		}
-	})
+	f, gate := gatedFleet(t, 3, 2, fastConfig())
+	rt := f.router
 	gated := f.names[2]
 
 	// Find keys the gated backend owns.

@@ -67,7 +67,6 @@ type durableStore struct {
 	// truncation. Reads (get / suggest) never touch it.
 	gate sync.RWMutex
 
-	pending      atomic.Int64 // mutations logged since the last checkpoint
 	checkpoints  atomic.Int64
 	ckptFailures atomic.Int64
 
@@ -109,9 +108,6 @@ func openDurableStore(cfg Config, r *patientRegistry) (*durableStore, error) {
 		every:     int64(cfg.CheckpointEvery),
 		recovered: r.len(),
 	}
-	// Records already in the log count toward the next compaction,
-	// otherwise a workload of short-lived restarts never checkpoints.
-	st.pending.Store(log.Records())
 	return st, nil
 }
 
@@ -122,16 +118,17 @@ func (st *durableStore) append(rec regproto.Record) error {
 	if err := st.log.Append(rec.Version, encodeRecord(rec)); err != nil {
 		return fmt.Errorf("%w: %v", errDurability, err)
 	}
-	st.pending.Add(1)
 	return nil
 }
 
-// maybeCheckpoint compacts the log once enough mutations accumulated.
-// Called after a mutation has released its locks. A failed checkpoint
-// is counted and logged but never fails the request — the mutations
-// themselves are already durable in the WAL.
+// maybeCheckpoint compacts the log once it holds enough records, the
+// ones replayed at boot included (otherwise a workload of short-lived
+// restarts never checkpoints). Called after a mutation has released
+// its locks. A failed checkpoint is counted and logged but never fails
+// the request — the mutations themselves are already durable in the
+// WAL.
 func (st *durableStore) maybeCheckpoint(r *patientRegistry) {
-	if st.every <= 0 || st.pending.Load() < st.every {
+	if st.every <= 0 || st.log.Records() < st.every {
 		return
 	}
 	if err := st.checkpoint(r, false); err != nil {
@@ -146,7 +143,7 @@ func (st *durableStore) maybeCheckpoint(r *patientRegistry) {
 func (st *durableStore) checkpoint(r *patientRegistry, force bool) error {
 	st.gate.Lock()
 	defer st.gate.Unlock()
-	if !force && st.pending.Load() < st.every {
+	if !force && st.log.Records() < st.every {
 		return nil // a racing mutation already checkpointed
 	}
 	if err := writeCheckpoint(st.ckptPath, r.records(regproto.SyncRequest{})); err != nil {
@@ -155,7 +152,6 @@ func (st *durableStore) checkpoint(r *patientRegistry, force bool) error {
 	if err := st.log.Reset(); err != nil {
 		return err
 	}
-	st.pending.Store(0)
 	st.checkpoints.Add(1)
 	return nil
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -162,15 +161,6 @@ func (s *Server) Swap(sys *dssddi.System) (int64, error) {
 		return 0, err
 	}
 	return ep.id, nil
-}
-
-// ReloadSnapshot loads a snapshot stream and swaps it in.
-func (s *Server) ReloadSnapshot(r io.Reader) (int64, error) {
-	sys, err := dssddi.Load(r)
-	if err != nil {
-		return 0, err
-	}
-	return s.Swap(sys)
 }
 
 func (s *Server) reloadFromPath(path, precision string) (*servingEpoch, error) {

@@ -1089,7 +1089,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 			TornBytes:          st.log.TornBytes(),
 			Checkpoints:        st.checkpoints.Load(),
 			CheckpointFailures: st.ckptFailures.Load(),
-			PendingRecords:     st.pending.Load(),
+			PendingRecords:     st.log.Records(),
 			AppendLatency:      st.log.AppendLatency(),
 		}
 		if m.WAL.SyncPolicy == "" {
