@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench lint fuzz fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile perfbench
+.PHONY: all build test bench bench-kernels lint fuzz fmt serve-smoke cluster-smoke chaos-smoke obs-smoke profile perfbench
 
 all: build lint test
 
@@ -21,6 +21,13 @@ bench:
 	$(GO) run ./cmd/benchtab -table 1 -trainbench -json BENCH_local.json
 	$(GO) run ./cmd/benchdiff BENCH_seed.json BENCH_local.json
 	$(GO) run ./cmd/benchdiff BENCH_baseline.json BENCH_local.json
+
+# The layer-1 pair decode of one cold suggest (86 drugs, width 384) at
+# both precisions, on one core. To compare two kernels, run it
+# alternately in a checkout of each: single runs on a shared VM vary by
+# about 15%.
+bench-kernels:
+	$(GO) test -run '^$$' -bench MulRowsHadamardInto -cpu 1 -count 10 ./internal/mat/
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -201,7 +201,10 @@ func main() {
 	// requests (which empties the batcher — every parked request holds
 	// an epoch ref); Close then writes a final registry checkpoint and
 	// fsync-closes the WAL, so the next boot replays nothing.
-	srv.Close()
+	if err := srv.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "dssddi-serve: %v\n", err)
+		os.Exit(1)
+	}
 	if *walPath != "" {
 		fmt.Fprintln(os.Stderr, "dssddi-serve: final checkpoint written, WAL closed")
 	}

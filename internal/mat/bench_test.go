@@ -113,7 +113,7 @@ func benchMulRowsHadamard[T Float](b *testing.B) {
 		}
 		return out
 	}
-	x, w, ts := vec(d), vec((d+1)*h), vec(drugs)
+	x, w, ts, coef := vec(d), vec((d+1)*h), vec(drugs), make([]T, PairCoefLen(d))
 	ys, dst := make([][]T, drugs), make([][]T, drugs)
 	for i := range ys {
 		ys[i], dst[i] = vec(d), make([]T, h)
@@ -124,7 +124,7 @@ func benchMulRowsHadamard[T Float](b *testing.B) {
 			for b.Loop() {
 				for lo := 0; lo < drugs; lo += block {
 					hi := min(lo+block, drugs)
-					MulRowsHadamardInto(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w)
+					MulRowsHadamardInto(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w, coef)
 				}
 			}
 		})

@@ -78,6 +78,14 @@ func quadDot(a, w []float64) float64 {
 	return s
 }
 
+// tilePairs is the pair count of the layer-1 register tile: its
+// kernels keep one accumulator register per pair.
+const tilePairs = 8
+
+// PairCoefLen is the length of the coefficient scratch that
+// MulRowsHadamardInto needs at interaction width d.
+func PairCoefLen(d int) int { return tilePairs * (d + 1) }
+
 // MulRowsHadamardInto is the fused layer-1 projection of a pair
 // decoder, for a block of pairs sharing x:
 //
@@ -87,23 +95,36 @@ func quadDot(a, w []float64) float64 {
 // coefficients of each concatenated input row — x[k]*ys[i][k] for
 // k < d = len(x), then ts[i] — are formed on the fly, so neither the
 // Hadamard product nor the concatenation exists. They are accumulated
-// in MulRowInto's grouping: four rows of w at a time, skipping
-// all-zero quads (when d % 4 == 3 the treatment coefficient closes the
-// last quad), then the remaining rows one at a time through
-// mulAddRow1, skipping zero coefficients. The kernel table runs every
-// quad of the block in one call, quad loop outermost, so each 4-row
-// slab of w serves the whole block while it is cache-hot.
+// in MulRowInto's grouping: four rows of w at a time (when d % 4 == 3
+// the treatment coefficient closes the last quad), then the remaining
+// rows one at a time through mulAddRow1, skipping zero coefficients.
 //
-// At float64 the quads go through mulAddRows4, so every output is
+// At AVX-512 the quads run through a register tile, tilePairs pairs at
+// a time: the pairs' coefficients are formed once into coef, and for
+// each column chunk of a 16-quad panel of w the pairs' sums stay in
+// registers while each row of the chunk is loaded once for all of
+// them. The tile does not skip all-zero quads, which is exact for
+// finite w: a sum starts at +0 and can never become −0, so adding a
+// zero quad's ±0 leaves its bits alone. A block in which a pair has an
+// all-zero quad takes the per-quad kernel instead, so the tile is
+// exact for any w. Elsewhere the kernel table runs every quad of the
+// block in one call, quad loop outermost, skipping all-zero quads, so
+// each 4-row slab of w serves the whole block while it is cache-hot.
+//
+// At float64 every quad sums as mulAddRows4 does, so every output is
 // bitwise identical to MulRowInto over the materialized row. At
 // float32 each quad is one FMA chain (quadFMAGo), identical at every
 // SIMD level.
 //
-// Runs entirely on the calling goroutine and allocates nothing.
-func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w []T) {
+// coef is scratch of at least PairCoefLen(len(x)) elements. Runs
+// entirely on the calling goroutine and allocates nothing.
+func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w, coef []T) {
 	d, n := len(x), len(dst)
 	if len(ys) != n || len(ts) != n {
 		panic(fmt.Sprintf("mat: MulRowsHadamardInto got %d dst rows, %d y rows, %d t values", n, len(ys), len(ts)))
+	}
+	if len(coef) < PairCoefLen(d) {
+		panic(fmt.Sprintf("mat: MulRowsHadamardInto coefficient scratch of %d, want %d", len(coef), PairCoefLen(d)))
 	}
 	if n == 0 {
 		return
@@ -116,8 +137,11 @@ func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w []T) {
 		}
 		clear(dst[i])
 	}
+	if h == 0 {
+		return
+	}
 	ks := kernelsOf[T]()
-	ks.pairQuads(dst, x, ys, ts, w)
+	ks.pairQuads(dst, x, ys, ts, w, coef)
 	if d%4 == 3 {
 		return
 	}

@@ -119,7 +119,7 @@ func checkMulRowsHadamard[T Float](t *testing.T, simd bool, d, h int) {
 				got[i][j] = T(math.NaN())
 			}
 		}
-		MulRowsHadamardInto(got, x, ys[:nb], ts[:nb], w)
+		MulRowsHadamardInto(got, x, ys[:nb], ts[:nb], w, make([]T, PairCoefLen(d)))
 		for i := range got {
 			for j, g := range got[i] {
 				if math.Float64bits(float64(g)) != math.Float64bits(float64(want[i][j])) {

@@ -16,11 +16,14 @@ import "math"
 //
 // On amd64 with AVX2 they dispatch to hand-written vector assembly
 // (simd_amd64.s), at float64 (4 lanes a ymm) and, for mulAddRow1,
-// addBiasLeaky and dot8, at float32 (8 lanes). The vector forms are
-// bitwise identical to the scalar forms: lanes are independent output
-// elements or exactly the interleaved accumulators of the scalar code,
-// and every lane performs the same IEEE-754 operations in the same
-// order as the scalar loop.
+// addBiasLeaky and dot8, at float32 (8 lanes). At AVX-512 the pair
+// decode's quads run through a register tile instead (tile_amd64.s,
+// see MulRowsHadamardInto), which applies mulAddRows4's and
+// quadFMA's per-element operations with eight pairs' sums held in
+// registers. The vector forms are bitwise identical to the scalar
+// forms: lanes are independent output elements or exactly the
+// interleaved accumulators of the scalar code, and every lane performs
+// the same IEEE-754 operations in the same order as the scalar loop.
 //
 // No FMA is used at float64, so the f64 kernels stay bitwise identical
 // to the batched reference path. The float32 pair decode (pairQuads32)
@@ -46,7 +49,7 @@ type Float interface{ float32 | float64 }
 // vector dispatchers of simd_amd64.go / simd_generic.go: the
 // arithmetic around them is written once, the assembly stays per type.
 type kernels[T Float] struct {
-	pairQuads    func(dst [][]T, x []T, ys [][]T, ts []T, w []T)
+	pairQuads    func(dst [][]T, x []T, ys [][]T, ts []T, w, coef []T)
 	mulAddRow1   func(dst, b []T, a T)
 	addBiasLeaky func(dst, bias []T, slope T)
 	dotCol       func(a, w []T) T
@@ -101,12 +104,6 @@ func mulAddRows4Go[T Float](dst, b4 []T, a0, a1, a2, a3 T) {
 	for j, bv := range b0 {
 		dst[j] += (T(a0*bv) + T(a1*b1[j])) + (T(a2*b2[j]) + T(a3*b3[j]))
 	}
-}
-
-// pairQuads64 runs the full quads of a float64 pair block through
-// mulAddRows4, so every pair accumulates exactly as MulRowInto would.
-func pairQuads64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w []float64) {
-	pairQuadsGo(dst, x, ys, ts, w, mulAddRows4)
 }
 
 // pairQuadsGo runs every full quad of the concatenated rows

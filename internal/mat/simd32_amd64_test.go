@@ -53,21 +53,25 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 }
 
 // pairQuadKernels32 lists the assembly forms of pairQuads32 this CPU
-// can run.
-func pairQuadKernels32() map[string]func(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
+// can run: the AVX2 kernel, which adds to dst, and with tile set, on
+// AVX-512, the register tile through pairTiles32, which sets dst
+// unless a block has an all-zero quad.
+func pairQuadKernels32(tile bool) map[string]func(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
 	ks := map[string]func(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32){}
 	if !cpuSupportsAVX2() || !cpuSupportsFMA() {
 		return ks
 	}
 	ks["avx2"] = pairQuadsAVX2F32
-	if cpuSupportsAVX512() {
-		ks["avx512"] = pairQuadsAVX512F32
+	if tile && cpuSupportsAVX512() {
+		ks["tile"] = func(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
+			pairTiles32(dst, x, ys, ts, w, make([]float32, PairCoefLen(len(x))))
+		}
 	}
 	return ks
 }
 
-// TestPairQuadKernels32Bitwise checks the float32 block kernels, AVX2
-// and AVX-512, against pairQuadsGo with quadFMAGo, bit for bit, for
+// TestPairQuadKernels32Bitwise checks the float32 block kernel that
+// adds to dst, AVX2, against pairQuadsGo with quadFMAGo, bit for bit, for
 // blocks of 1 to 9 pairs, widths h off the 16- and 8-lane grids and
 // interaction widths d off the quad grid (d % 4 == 3 included, where
 // ts closes the last quad). Odd pairs open with an all-zero quad —
@@ -75,7 +79,7 @@ func pairQuadKernels32() map[string]func(dst [][]float32, x []float32, ys [][]fl
 // only the zero skip keeps out of their sums; dst starts non-zero, so
 // the kernels must accumulate.
 func TestPairQuadKernels32Bitwise(t *testing.T) {
-	kernels := pairQuadKernels32()
+	kernels := pairQuadKernels32(false)
 	if len(kernels) == 0 {
 		t.Skip("no FMA vector unit on this platform")
 	}
@@ -145,7 +149,7 @@ var specials = []float32{0, 1, 1 + 0x1p-23, 3, math.MaxFloat32, 0x1p-126, 0x1p-1
 // — then products and sums in the subnormal range, and special values
 // (NaN results compare by bits too: both sides give the default NaN).
 func TestFMA32MatchesHardware(t *testing.T) {
-	kernels := pairQuadKernels32()
+	kernels := pairQuadKernels32(true)
 	if len(kernels) == 0 {
 		t.Skip("no FMA vector unit on this platform")
 	}

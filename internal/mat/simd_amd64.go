@@ -118,9 +118,6 @@ func hadamardSlices(dst, a, b []float64) {
 // every level produces identical f32 bits.
 
 //go:noescape
-func pairQuadsAVX512F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
-
-//go:noescape
 func pairQuadsAVX2F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
 
 //go:noescape
@@ -132,19 +129,116 @@ func dot8AVX2F32(a, b []float32) float32
 //go:noescape
 func addBiasLeakyAVX2F32(dst, bias []float32, slope float32)
 
+//go:noescape
+func pairTileAVX512(rows *[tilePairs]*float64, n int, coef, w []float64, h int)
+
+//go:noescape
+func pairTileAVX512F32(rows *[tilePairs]*float32, n int, coef, w []float32, h int)
+
+//go:noescape
+func quadProductsAVX2(c, x, y []float64) (ok bool)
+
+//go:noescape
+func quadProductsAVX2F32(c, x, y []float32) (ok bool)
+
+// pairQuads64 runs the full quads of a float64 pair block: through the
+// register tile at AVX-512, else through mulAddRows4, so every pair
+// accumulates exactly as MulRowInto would. The caller
+// (MulRowsHadamardInto) has checked the shapes, cleared dst and sized
+// coef.
+func pairQuads64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w, coef []float64) {
+	if useAVX512 {
+		pairTiles64(dst, x, ys, ts, w, coef)
+		return
+	}
+	pairQuadsGo(dst, x, ys, ts, w, mulAddRows4)
+}
+
 // pairQuads32 runs every full quad of a float32 pair block (see
-// pairQuadsGo) as one quadFMA chain per quad, in a single assembly
-// call where the CPU has FMA. The caller (MulRowsHadamardInto) has
-// checked the shapes and that the block is not empty.
-func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
+// pairQuadsGo) as one quadFMA chain per quad: through the register
+// tile at AVX-512, else in a single assembly call where the CPU has
+// FMA.
+func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w, coef []float32) {
 	switch {
 	case useAVX512 && useFMA:
-		pairQuadsAVX512F32(dst, x, ys, ts, w)
+		pairTiles32(dst, x, ys, ts, w, coef)
 	case useFMA:
 		pairQuadsAVX2F32(dst, x, ys, ts, w)
 	default:
 		pairQuadsGo(dst, x, ys, ts, w, quadFMAGo)
 	}
+}
+
+// pairTiles64 runs a float64 pair block through the register tile,
+// tilePairs pairs at a time. A tile block in which a pair has an
+// all-zero quad, which the tile would not skip, takes mulAddRows4.
+func pairTiles64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w, coef []float64) {
+	for lo := 0; lo < len(dst); lo += tilePairs {
+		hi := min(lo+tilePairs, len(dst))
+		var rows [tilePairs]*float64
+		if nq := pairTileSetup(&rows, coef, dst[lo:hi], x, ys[lo:hi], ts[lo:hi], quadProductsAVX2); nq > 0 {
+			pairTileAVX512(&rows, hi-lo, coef[:nq*4*tilePairs], w, len(dst[0]))
+		} else {
+			pairQuadsGo(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w, mulAddRows4)
+		}
+	}
+}
+
+// pairTiles32 is pairTiles64 at float32; a block with an all-zero quad
+// takes pairQuadsAVX2F32.
+func pairTiles32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w, coef []float32) {
+	for lo := 0; lo < len(dst); lo += tilePairs {
+		hi := min(lo+tilePairs, len(dst))
+		var rows [tilePairs]*float32
+		if nq := pairTileSetup(&rows, coef, dst[lo:hi], x, ys[lo:hi], ts[lo:hi], quadProductsAVX2F32); nq > 0 {
+			pairTileAVX512F32(&rows, hi-lo, coef[:nq*4*tilePairs], w, len(dst[0]))
+		} else {
+			pairQuadsAVX2F32(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w)
+		}
+	}
+}
+
+// pairTileSetup prepares a block of at most tilePairs pairs for a tile
+// kernel and returns its quad count: the full quads of
+// concat(x⊙ys[p], ts[p]) as pairQuadsGo walks them (the last one
+// closed by ts[p] when len(x) % 4 == 3). It writes their coefficients
+// to coef quad-interleaved, coef[(q·tilePairs+p)·4+i] the i-th of pair
+// p's quad q, formed exactly as pairQuadsGo forms them (the x⊙y quads
+// by products), with zeros for the padding pairs p >= len(ys). rows[p]
+// is dst[p]'s first element, and a padding pair's the last real
+// pair's (the kernel reads it but never stores it). It returns 0 when
+// there is no quad or a pair has an all-zero quad, which the tile
+// would not skip.
+func pairTileSetup[T Float](rows *[tilePairs]*T, coef []T, dst [][]T, x []T, ys [][]T, ts []T, products func(c, x, y []T) bool) (nq int) {
+	d, n := len(x), len(ys)
+	if nq = (d + 1) / 4; nq == 0 {
+		return 0
+	}
+	for p := range tilePairs {
+		c := coef[4*p : 4*tilePairs*nq]
+		if p >= n {
+			for k := 0; k < 4*nq; k += 4 {
+				clear(c[8*k : 8*k+4])
+			}
+			continue
+		}
+		y := ys[p]
+		if !products(c, x, y) {
+			return 0
+		}
+		if k := d &^ 3; d%4 == 3 {
+			a0, a1, a2, a3 := x[k]*y[k], x[k+1]*y[k+1], x[k+2]*y[k+2], ts[p]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				return 0
+			}
+			c[8*k], c[8*k+1], c[8*k+2], c[8*k+3] = a0, a1, a2, a3
+		}
+		rows[p] = &dst[p][0]
+	}
+	for p := n; p < tilePairs; p++ {
+		rows[p] = rows[n-1]
+	}
+	return nq
 }
 
 // mulAddRow132 is mulAddRow1 at float32.

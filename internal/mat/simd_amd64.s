@@ -614,148 +614,16 @@ ablf_keep:
 ablf_done:
 	RET
 
-// func pairQuadsAVX512F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
+// func pairQuadsAVX2F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
 //
 // pairQuadsGo with quadFMAGo in one call: for each quad k (outermost)
 // and each pair i, a = x[k:k+4] ⊙ ys[i][k:k+4] is formed in a register
 // (lane 3 = ts[i] when the quad is the last one and len(x) % 4 == 3),
 // all-zero quads are skipped, and every element of dst[i] gets
 // t = a0*w0; t = fma(a1,w1,t); t = fma(a2,w2,t); t = fma(a3,w3,t);
-// dst += t — 16 lanes a step, then one 8-lane step, then scalar.
-// Requires len(dst) == len(ys) == len(ts) >= 1, every dst row
-// len(dst[0]) wide, every ys row len(x) long, and len(x)+1 rows in w.
-TEXT ·pairQuadsAVX512F32(SB), NOSPLIT, $0-120
-	MOVQ dst_base+0(FP), R8      // dst slice headers
-	MOVQ dst_len+8(FP), DX       // pairs in the block
-	MOVQ 8(R8), R13
-	SHLQ $2, R13                 // R13 = w row stride in bytes
-	MOVQ ys_base+48(FP), R9      // ys slice headers
-	MOVQ ts_base+72(FP), R10
-	MOVQ w_base+96(FP), R12      // R12 = rows k..k+3 of w
-	XORQ R11, R11                // R11 = byte offset of quad k in x and ys[i]
-	VXORPS X9, X9, X9            // zero, for the all-zero quad test
-	MOVQ x_len+32(FP), R14
-	SHRQ $2, R14                 // R14 = x⊙y quads left, this one included
-	TESTQ R14, R14
-	JZ   pq512_tquad
-
-pq512_quad:
-	MOVQ    x_base+24(FP), AX
-	VMOVUPS (AX)(R11*1), X8      // x[k:k+4]
-
-pq512_block:
-	XORQ BX, BX                  // i = 0
-
-pq512_pair:
-	LEAQ  (BX)(BX*2), SI         // slice headers are three words
-	MOVQ  (R9)(SI*8), AX         // ys[i]
-	MOVQ  (R8)(SI*8), SI         // dst[i]
-	TESTQ R14, R14
-	JZ    pq512_tcoef
-	VMULPS (AX)(R11*1), X8, X4   // a = x[k:k+4] ⊙ ys[i][k:k+4]
-	JMP   pq512_coef
-
-pq512_tcoef:
-	VMOVSD    (AX)(R11*1), X4             // ys[i][k:k+2]
-	VINSERTPS $0x20, 8(AX)(R11*1), X4, X4 // lane 2 = ys[i][k+2]
-	VMULPS    X8, X4, X4
-	VINSERTPS $0x30, (R10)(BX*4), X4, X4  // lane 3 = ts[i]
-
-pq512_coef:
-	VCMPPS    $0, X9, X4, X5     // a == 0 per lane (EQ_OQ)
-	VMOVMSKPS X5, AX
-	CMPL      AX, $15
-	JEQ       pq512_next         // all-zero quad
-	VBROADCASTSS X4, Z0
-	VPERMILPS    $0x55, X4, X5
-	VBROADCASTSS X5, Z1
-	VPERMILPS    $0xAA, X4, X5
-	VBROADCASTSS X5, Z2
-	VPERMILPS    $0xFF, X4, X5
-	VBROADCASTSS X5, Z3
-	MOVQ R12, DI                 // row k
-	LEAQ (R12)(R13*2), AX        // row k+2
-	MOVQ R13, CX
-	SHRQ $2, CX                  // CX = elements of dst[i] left
-	CMPQ CX, $16
-	JL   pq512_oct
-
-pq512_loop:
-	VMULPS      (DI), Z0, Z4         // t = a0*w0
-	VFMADD231PS (DI)(R13*1), Z1, Z4  // t = fma(a1, w1, t)
-	VFMADD231PS (AX), Z2, Z4         // t = fma(a2, w2, t)
-	VFMADD231PS (AX)(R13*1), Z3, Z4  // t = fma(a3, w3, t)
-	VADDPS      (SI), Z4, Z4         // dst + t
-	VMOVUPS     Z4, (SI)
-	ADDQ        $64, SI
-	ADDQ        $64, DI
-	ADDQ        $64, AX
-	SUBQ        $16, CX
-	CMPQ        CX, $16
-	JGE         pq512_loop
-
-pq512_oct:
-	CMPQ CX, $8
-	JL   pq512_tail
-
-	// One 8-lane step (the Y registers alias the Z broadcasts).
-	VMULPS      (DI), Y0, Y4
-	VFMADD231PS (DI)(R13*1), Y1, Y4
-	VFMADD231PS (AX), Y2, Y4
-	VFMADD231PS (AX)(R13*1), Y3, Y4
-	VADDPS      (SI), Y4, Y4
-	VMOVUPS     Y4, (SI)
-	ADDQ        $32, SI
-	ADDQ        $32, DI
-	ADDQ        $32, AX
-	SUBQ        $8, CX
-
-pq512_tail:
-	TESTQ CX, CX
-	JZ    pq512_next
-
-pq512_tail_loop:
-	VMULSS      (DI), X0, X4
-	VFMADD231SS (DI)(R13*1), X1, X4
-	VFMADD231SS (AX), X2, X4
-	VFMADD231SS (AX)(R13*1), X3, X4
-	VADDSS      (SI), X4, X4
-	VMOVSS      X4, (SI)
-	ADDQ        $4, SI
-	ADDQ        $4, DI
-	ADDQ        $4, AX
-	DECQ        CX
-	JNZ         pq512_tail_loop
-
-pq512_next:
-	INCQ  BX
-	CMPQ  BX, DX
-	JLT   pq512_pair
-	TESTQ R14, R14
-	JZ    pq512_done             // that was the quad ts closes
-	ADDQ  $16, R11
-	LEAQ  (R12)(R13*4), R12
-	DECQ  R14
-	JNZ   pq512_quad
-
-pq512_tquad:
-	// len(x) % 4 == 3: the last quad is x[k:k+3] ⊙ ys[i][k:k+3], ts[i].
-	MOVQ      x_len+32(FP), AX
-	ANDQ      $3, AX
-	CMPQ      AX, $3
-	JNE       pq512_done
-	MOVQ      x_base+24(FP), AX
-	VMOVSD    (AX)(R11*1), X8             // x[k:k+2]
-	VINSERTPS $0x20, 8(AX)(R11*1), X8, X8 // lane 2 = x[k+2]
-	JMP       pq512_block
-
-pq512_done:
-	VZEROUPPER
-	RET
-
-// func pairQuadsAVX2F32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32)
-//
-// pairQuadsAVX512F32 at 8 lanes a step, then scalar; needs FMA.
+// dst += t — 8 lanes a step, then scalar; needs FMA. Requires
+// len(dst) == len(ys) == len(ts) >= 1, every dst row len(dst[0])
+// wide, every ys row len(x) long, and len(x)+1 rows in w.
 TEXT ·pairQuadsAVX2F32(SB), NOSPLIT, $0-120
 	MOVQ dst_base+0(FP), R8
 	MOVQ dst_len+8(FP), DX

@@ -21,7 +21,11 @@ func hadamardSlices(dst, a, b []float64) { hadamardIntoGo(dst, a, b) }
 
 func addBiasLeaky(dst, bias []float64, slope float64) { addBiasLeakyGo(dst, bias, slope) }
 
-func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
+func pairQuads64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w, _ []float64) {
+	pairQuadsGo(dst, x, ys, ts, w, mulAddRows4)
+}
+
+func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w, _ []float32) {
 	pairQuadsGo(dst, x, ys, ts, w, quadFMAGo)
 }
 

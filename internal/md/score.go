@@ -55,7 +55,9 @@ const drugTile = 64
 // eight times. On a cold suggest at hidden 384 (86 drugs, one core),
 // blocks of 8 cut the time by about a sixth against one drug at a
 // time at both precisions; 4 was slightly slower and 16, whose hidden
-// rows alone fill L1, no faster.
+// rows alone fill L1, no faster. 8 is also the AVX-512 register
+// tile's accumulator count (see mat.MulRowsHadamardInto): one block
+// is one tile, so no block pays for a second, mostly padded one.
 const pairBlock = 8
 
 // view is one precision's frozen scoring state: the fused pair
@@ -89,12 +91,13 @@ type scoreScratch struct {
 }
 
 // blockScratch is the block decoder's working set at one precision:
-// the patient hidden representation, pairBlock layer-1 rows and the
-// block's drug-row headers.
+// the patient hidden representation, pairBlock layer-1 rows, the
+// block's drug-row headers and its layer-1 coefficients.
 type blockScratch[T mat.Float] struct {
 	hp    []T
 	hid   [][]T
 	drows [][]T
+	coef  []T
 }
 
 // getScratch returns a pooled scratch.
@@ -128,7 +131,7 @@ func (v *view[T]) block(sc *scoreScratch) *blockScratch[T] {
 		for i := range bs.hid {
 			bs.hid[i] = back[i*h : (i+1)*h : (i+1)*h]
 		}
-		bs.hp, bs.drows = make([]T, d), make([][]T, pairBlock)
+		bs.hp, bs.drows, bs.coef = make([]T, d), make([][]T, pairBlock), make([]T, mat.PairCoefLen(d))
 	}
 	return bs
 }
@@ -158,7 +161,7 @@ func (v *view[T]) logitTile(dst []float64, b *blockScratch[T], trow []T, vLo int
 		for i := range drows {
 			drows[i] = v.drugs[(v0+i)*d : (v0+i+1)*d]
 		}
-		v.pd.LogitsInto(blk, b.hp, drows, trow[v0:v0+len(blk)], b.hid)
+		v.pd.LogitsInto(blk, b.hp, drows, trow[v0:v0+len(blk)], b.hid, b.coef)
 	}
 }
 

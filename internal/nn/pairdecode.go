@@ -82,7 +82,8 @@ func NewPairDecoder32(p *PairDecoder[float64]) *PairDecoder[float32] {
 }
 
 // Dims returns the interaction width d and the hidden width h; scratch
-// rows for LogitsInto hold h elements.
+// rows for LogitsInto hold h elements, and its coefficient scratch
+// mat.PairCoefLen(d).
 func (p *PairDecoder[T]) Dims() (d, h int) { return p.d, p.h }
 
 // Bytes returns the resident size of the decoder weights — its term of
@@ -92,10 +93,11 @@ func (p *PairDecoder[T]) Bytes() int {
 }
 
 // Logit scores one (a, b, t) pair: LogitsInto on a block of one. hid
-// (length ≥ h) is caller-owned scratch.
+// (length ≥ h) is caller-owned scratch; the coefficient scratch is
+// allocated per call.
 func (p *PairDecoder[T]) Logit(a, b []T, t T, hid []T) float64 {
 	var out [1]float64
-	p.LogitsInto(out[:], a, [][]T{b}, []T{t}, [][]T{hid[:p.h]})
+	p.LogitsInto(out[:], a, [][]T{b}, []T{t}, [][]T{hid[:p.h]}, make([]T, mat.PairCoefLen(p.d)))
 	return out[0]
 }
 
@@ -104,10 +106,11 @@ func (p *PairDecoder[T]) Logit(a, b []T, t T, hid []T) float64 {
 // rank and sigmoid every precision alike. A pair's logit does not
 // depend on the block it is decoded in. Each bs[i] holds exactly d
 // elements; hid is caller-owned scratch holding at least len(dst) rows
-// of exactly h elements, clobbered on every call; nothing allocates.
-func (p *PairDecoder[T]) LogitsInto(dst []float64, a []T, bs [][]T, ts []T, hid [][]T) {
+// of exactly h elements and coef at least mat.PairCoefLen(d) elements,
+// both clobbered on every call; nothing allocates.
+func (p *PairDecoder[T]) LogitsInto(dst []float64, a []T, bs [][]T, ts []T, hid [][]T, coef []T) {
 	hid = hid[:len(dst)]
-	mat.MulRowsHadamardInto(hid, a[:p.d], bs, ts, p.w1)
+	mat.MulRowsHadamardInto(hid, a[:p.d], bs, ts, p.w1, coef)
 	for i, h := range hid {
 		dst[i] = p.head(h)
 	}

@@ -72,7 +72,7 @@ func testPairDecoder32(t *testing.T, act Activation, d int) {
 			bs[i], ts[i] = mat.Floats32(hb.Row(i)), float32(i%2)
 		}
 		got := make([]float64, nb)
-		pd32.LogitsInto(got, a, bs, ts, hids)
+		pd32.LogitsInto(got, a, bs, ts, hids, make([]float32, mat.PairCoefLen(d)))
 		for i, g := range got {
 			if w := pd32.Logit(a, bs[i], ts[i], hid32); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("act=%v d=%d block %d pair %d: LogitsInto %v != Logit %v", act, d, nb, i, g, w)

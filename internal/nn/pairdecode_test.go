@@ -74,7 +74,7 @@ func testPairDecoderForward(t *testing.T, workers int, act Activation, d int) {
 			bs[i], ts[i] = hb.Row(i), float64(i%2)
 		}
 		got := make([]float64, nb)
-		pd.LogitsInto(got, a, bs, ts, hids)
+		pd.LogitsInto(got, a, bs, ts, hids, make([]float64, mat.PairCoefLen(d)))
 		for i, g := range got {
 			if w := pd.Logit(a, bs[i], ts[i], hidBuf); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("workers=%d act=%v d=%d block %d pair %d: LogitsInto %v != Logit %v", workers, act, d, nb, i, g, w)

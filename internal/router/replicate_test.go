@@ -283,7 +283,7 @@ func TestReplicaRejoinAntiEntropy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(empty.Close)
+	t.Cleanup(func() { empty.Close() })
 	swap.swap(empty.Handler())
 	gate.open.Store(true)
 

@@ -226,7 +226,9 @@ func TestGracefulCloseCheckpoints(t *testing.T) {
 		doJSON(t, http.MethodPut, fmt.Sprintf("%s/v1/patients/clean-%d", tsA.URL, i), PatientPutRequest{Regimen: []int{i}})
 	}
 	tsA.Close()
-	a.Close()
+	if err := a.Close(); err != nil {
+		t.Fatalf("graceful Close: %v", err)
+	}
 	if _, err := os.Stat(cfg.WALPath + ".ckpt"); err != nil {
 		t.Fatalf("graceful Close left no checkpoint: %v", err)
 	}
@@ -244,6 +246,30 @@ func TestGracefulCloseCheckpoints(t *testing.T) {
 		if resp, _ := get(t, fmt.Sprintf("%s/v1/patients/clean-%d", tsB.URL, i)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("clean-%d not served after graceful restart", i)
 		}
+	}
+}
+
+// TestCloseReportsFailedCheckpoint: when the final checkpoint cannot be
+// written, here because the WAL's directory is gone, Close returns the
+// error instead of passing for a clean shutdown, and a second Close
+// returns it again.
+func TestCloseReportsFailedCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newDurableServer(t, durableConfig(dir))
+	doJSON(t, http.MethodPut, ts.URL+"/v1/patients/lost-ckpt", PatientPutRequest{Regimen: []int{1}})
+	ts.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Close()
+	if err == nil {
+		t.Fatal("Close with the WAL directory removed returned nil")
+	}
+	if again := s.Close(); again == nil || again.Error() != err.Error() {
+		t.Fatalf("second Close = %v, want %v", again, err)
 	}
 }
 

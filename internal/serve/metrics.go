@@ -93,11 +93,9 @@ type WALMetrics struct {
 	Replayed          int64 `json:"replayed" prom:"dssddi_wal_replayed_records,gauge" help:"WAL records replayed at boot."`
 	RecoveredPatients int   `json:"recovered_patients" prom:"dssddi_wal_recovered_patients,gauge" help:"Patients rebuilt at boot from the checkpoint and the WAL."`
 	TornBytes         int64 `json:"torn_bytes_truncated" prom:"dssddi_wal_torn_bytes_truncated,gauge" help:"Bytes of a torn WAL tail truncated at boot."`
-	// Checkpoints counts log compactions; PendingRecords is the
-	// mutations logged since the last one.
+	// Checkpoints counts log compactions, which empty the live log.
 	Checkpoints        int64                 `json:"checkpoints" prom:"dssddi_wal_checkpoints_total,counter" help:"Log compactions into the checkpoint file."`
 	CheckpointFailures int64                 `json:"checkpoint_failures,omitempty" prom:"dssddi_wal_checkpoint_failures_total,counter" help:"Log compactions that failed."`
-	PendingRecords     int64                 `json:"pending_records" prom:"dssddi_wal_pending_records,gauge" help:"Mutations logged since the last checkpoint."`
 	AppendLatency      obs.HistogramSnapshot `json:"-" prom:"dssddi_wal_append_duration_seconds,histogram" help:"WAL append-to-ack latency."`
 }
 

@@ -43,7 +43,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -251,8 +250,9 @@ func New(sys *dssddi.System, cfg Config) (*Server, error) {
 // reloadMu excludes a concurrent Swap from republishing an epoch (and
 // leaking its batcher) after the close. With a durable registry, Close
 // also writes a final checkpoint and fsync-closes the WAL, so a clean
-// shutdown restarts from the checkpoint alone with an empty log.
-func (s *Server) Close() {
+// shutdown restarts from the checkpoint alone with an empty log, and
+// returns the error of either step; a later Close returns it again.
+func (s *Server) Close() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	if ep := s.epoch.Swap(nil); ep != nil {
@@ -260,9 +260,10 @@ func (s *Server) Close() {
 	}
 	if st := s.patients.store; st != nil {
 		if err := st.shutdown(s.patients); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: closing durable registry: %v\n", err)
+			return fmt.Errorf("serve: closing durable registry: %w", err)
 		}
 	}
+	return nil
 }
 
 // Handler returns the routed HTTP handler.
@@ -1089,7 +1090,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request, ep *serv
 			TornBytes:          st.log.TornBytes(),
 			Checkpoints:        st.checkpoints.Load(),
 			CheckpointFailures: st.ckptFailures.Load(),
-			PendingRecords:     st.log.Records(),
 			AppendLatency:      st.log.AppendLatency(),
 		}
 		if m.WAL.SyncPolicy == "" {

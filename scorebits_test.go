@@ -37,18 +37,63 @@ var scoreBits = map[string]map[string]string{
 	},
 }
 
-// TestScoreBits trains the model in process and compares a sha256 of
-// each scoring path's output bits with the committed constants, at f64
-// and f32. It then reruns itself with the vector kernels off and
-// capped at AVX2 (DSSDDI_SIMD is read once at start-up, so each level
-// takes a fresh process).
+// scoreBits383 pins a smaller model of hidden width 383 (`-patients 16
+// -hidden 383 -ddi-epochs 2 -md-epochs 3`): 383 % 4 == 3, so the
+// treatment coefficient closes the decoder's last layer-1 quad, and the
+// hidden rows end off every vector lane grid. It is small because the
+// DSSDDI_SIMD=off rerun scores f32 through the emulated FMA chain, about
+// 35 ms a patient.
+var scoreBits383 = map[string]map[string]string{
+	"f64": {
+		"Scores":     "781c2dcf2d30b79cbaabf13b1ce0cba27980d45c79ae6eaa9ec01337fc22f8c6",
+		"Suggest":    "0fe76812ed995e1244f6c521d165b3f956217f00020a3948a0a8ba3eaa5c539e",
+		"ScoresInto": "781c2dcf2d30b79cbaabf13b1ce0cba27980d45c79ae6eaa9ec01337fc22f8c6",
+		"SuggestFor": "ffde609d61254f89684bedd9d77cd2fb87fa7a1a49cbdd4e907ddf5c5214889c",
+	},
+	"f32": {
+		"Scores":     "e4cddcd09d2cd752ee773feffe53f1fee72e5ee8a6a477f323ad702843d96389",
+		"Suggest":    "02b55310e2e01441f77d783908e08edee1cad23c0ff2de53ba727d375e3ee3a2",
+		"ScoresInto": "e4cddcd09d2cd752ee773feffe53f1fee72e5ee8a6a477f323ad702843d96389",
+		"SuggestFor": "ac437bd7832981430da3455ff86a3a85a0f415e88ea1d3fbf165eb9c17f1d750",
+	},
+}
+
+// TestScoreBits trains each pinned model in process and compares a
+// sha256 of each scoring path's output bits with the committed
+// constants, at f64 and f32. It then reruns itself with the vector
+// kernels off and capped at AVX2 (DSSDDI_SIMD is read once at
+// start-up, so each level takes a fresh process).
 func TestScoreBits(t *testing.T) {
-	const patients, topK = 70, 4
+	checkScoreBits(t, 70, 384, 5, 10, scoreBits)
+	checkScoreBits(t, 16, 383, 2, 3, scoreBits383)
+
+	switch {
+	case os.Getenv("DSSDDI_SIMD") != "" || mat.SIMD() == "none":
+		return // a rerun, or the vector kernels are already off
+	case raceEnabled:
+		t.Log("SIMD-level reruns skipped under -race")
+		return
+	}
+	for _, level := range []string{"off", "avx2"} {
+		cmd := exec.Command(os.Args[0], "-test.v", "-test.run=^TestScoreBits$")
+		cmd.Env = append(os.Environ(), "DSSDDI_SIMD="+level)
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "--- PASS: TestScoreBits") {
+			t.Fatalf("DSSDDI_SIMD=%s rerun: %v\n%s", level, err, out)
+		}
+	}
+}
+
+// checkScoreBits trains a model on the given number of patients at the
+// given hidden width and epochs, and compares its digests with want.
+func checkScoreBits(t *testing.T, patients, hidden, ddiEpochs, mdEpochs int, want map[string]map[string]string) {
+	t.Helper()
+	const topK = 4
 	data := GenerateChronic(1, patients-patients/2, patients/2)
 	cfg := DefaultConfig()
-	cfg.Hidden = 384
-	cfg.DDIEpochs = 5
-	cfg.MDEpochs = 10
+	cfg.Hidden = hidden
+	cfg.DDIEpochs = ddiEpochs
+	cfg.MDEpochs = mdEpochs
 	cfg.Seed = 1
 	sys := New(cfg)
 	if err := sys.Train(data); err != nil {
@@ -63,7 +108,7 @@ func TestScoreBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := map[string]hash.Hash{}
-		for name := range scoreBits[prec] {
+		for name := range want[prec] {
 			got[name] = sha256.New()
 		}
 
@@ -102,26 +147,10 @@ func TestScoreBits(t *testing.T) {
 			hashSuggestions(got["SuggestFor"], s)
 		}
 
-		for name, want := range scoreBits[prec] {
-			if sum := hex.EncodeToString(got[name].Sum(nil)); sum != want {
-				t.Errorf("%s %s (SIMD %s): digest %s, want %s", prec, name, mat.SIMD(), sum, want)
+		for name, w := range want[prec] {
+			if sum := hex.EncodeToString(got[name].Sum(nil)); sum != w {
+				t.Errorf("hidden %d %s %s (SIMD %s): digest %s, want %s", hidden, prec, name, mat.SIMD(), sum, w)
 			}
-		}
-	}
-
-	switch {
-	case os.Getenv("DSSDDI_SIMD") != "" || mat.SIMD() == "none":
-		return // a rerun, or the vector kernels are already off
-	case raceEnabled:
-		t.Log("SIMD-level reruns skipped under -race")
-		return
-	}
-	for _, level := range []string{"off", "avx2"} {
-		cmd := exec.Command(os.Args[0], "-test.v", "-test.run=^TestScoreBits$")
-		cmd.Env = append(os.Environ(), "DSSDDI_SIMD="+level)
-		out, err := cmd.CombinedOutput()
-		if err != nil || !strings.Contains(string(out), "--- PASS: TestScoreBits") {
-			t.Fatalf("DSSDDI_SIMD=%s rerun: %v\n%s", level, err, out)
 		}
 	}
 }

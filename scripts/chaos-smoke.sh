@@ -39,6 +39,9 @@ WORK=$(mktemp -d)
 PIDS=()
 cleanup() {
     for p in "${PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done
+    # Let the signalled processes finish before their files go: b0
+    # writes its final registry checkpoint into $WORK on the way out.
+    for p in "${PIDS[@]:-}"; do wait "$p" 2>/dev/null || true; done
     rm -rf "$WORK"
 }
 trap cleanup EXIT
