@@ -10,7 +10,11 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# Plain first, for the gates the race build relaxes (TestScoreBits'
+# DSSDDI_SIMD reruns, md's exact allocation budgets), then under the
+# race detector.
 test:
+	$(GO) test ./...
 	$(GO) test -race ./...
 
 # The short benchmark smoke CI runs, plus a perf record from benchtab
@@ -36,13 +40,15 @@ lint:
 
 # The fuzz targets CI runs: the Prometheus exposition round trip, the
 # consistent-hash ring, the router's routing rule, the registry's WAL
-# record codec, the snapshot decoder and the registry merge.
+# record codec, the snapshot decoder, the snapshot loader and the
+# registry merge.
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzWriteProm -fuzztime 20s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRing -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRouteKey -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecoder -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/regproto -run '^$$' -fuzz FuzzMerge -fuzztime 10s -fuzzminimizetime 100x
 
 # Train a tiny model, round-trip it through a snapshot, boot the HTTP

@@ -1,7 +1,8 @@
 // Package ag implements a small reverse-mode automatic-differentiation
 // engine over dense matrices. Every neural model in the repository
 // (DDIGCN, MDGCN and the graph-learning baselines) is trained through
-// this tape.
+// this tape, and each computes its final representations by running
+// its encoder on a tape as well, so a model graph has one forward pass.
 //
 // Usage: create a Tape, wrap parameters and inputs as nodes, compose
 // ops, then call Backward on a scalar loss node. Gradients accumulate
@@ -15,19 +16,21 @@
 // finds its node from the previous epoch (same op kind, same inputs,
 // same shape), overwrites the node's value in place with the fused
 // *Into kernels, and keeps the backward closure built on first record.
-// Together with the size-bucketed mat.Arena that owns every node value,
-// gradient and backward scratch buffer, an epoch after the first
+// Node values, gradients and backward scratch matrices are allocated
+// once, when a node is first recorded, so an epoch after the first
 // allocates (approximately) nothing: no node structs, no closures, no
-// matrices.
+// matrices. A forward pass that issues only a prefix of the recorded
+// ops (a model computing its representations for inference between
+// training epochs) replays that prefix and leaves the rest of the
+// graph in place for the next epoch.
 //
 // If the op sequence diverges from the recording (a branch changes
-// between epochs), the tape recycles the stale tail of the graph into
-// its arena and records fresh from the divergence point — correctness
-// never depends on the graph being static; only the allocation win
-// does. Per-epoch data that flows into an op (gather indices, loss
-// targets, constant inputs) is refreshed on the retained node every
-// epoch, and backward closures read it through the node, never from a
-// stale capture.
+// between epochs), the tape drops the stale tail of the graph and
+// records fresh from the divergence point — correctness never depends
+// on the graph being static; only the allocation win does. Per-epoch
+// data that flows into an op (gather indices, loss targets, constant
+// inputs) is refreshed on the retained node every epoch, and backward
+// closures read it through the node, never from a stale capture.
 //
 // Values that must outlive a Reset (e.g. a final embedding matrix) are
 // taken off the tape with Detach. A Tape must not be shared across
@@ -37,7 +40,6 @@ package ag
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"dssddi/internal/mat"
 	"dssddi/internal/par"
@@ -47,22 +49,6 @@ import (
 // rowGrain sizes parallel row chunks; the policy lives in mat so all
 // kernels share one threshold.
 func rowGrain(cols int) int { return mat.RowGrain(cols) }
-
-// arenaEnabled gates whether new tapes own a buffer-recycling arena.
-// It exists so tests can prove arena-on and arena-off training are
-// bitwise identical.
-var arenaEnabled atomic.Bool
-
-func init() { arenaEnabled.Store(true) }
-
-// SetArenaEnabled toggles (process-wide) whether tapes created from now
-// on recycle buffers through a mat.Arena. On by default; switching it
-// off makes every recycled-buffer request fall back to plain
-// allocation, which must not change any numeric result.
-func SetArenaEnabled(on bool) { arenaEnabled.Store(on) }
-
-// ArenaEnabled reports the current setting.
-func ArenaEnabled() bool { return arenaEnabled.Load() }
 
 // opKind identifies the operation a node was recorded by; replay
 // requires the same op in the same position.
@@ -105,7 +91,6 @@ type Node struct {
 	op        opKind
 	a, b      *Node
 	requires  bool   // whether gradient flows into/through this node
-	owned     bool   // Value's buffer belongs to the tape arena
 	gradEpoch uint64 // epoch whose backward pass Grad belongs to
 
 	backward func() // accumulates into the inputs' Grad; nil for leaves
@@ -143,7 +128,6 @@ func (n *Node) Cols() int { return n.Value.Cols() }
 // so later epochs reuse its nodes and buffers (see the package
 // comment). A Tape must not be shared across goroutines.
 type Tape struct {
-	arena      *mat.Arena
 	nodes      []*Node // op + const nodes in creation (topological) order
 	paramNodes []*Node
 	params     map[*mat.Dense]*Node
@@ -151,14 +135,9 @@ type Tape struct {
 	epoch      uint64 // bumped by Reset; stamps valid gradients
 }
 
-// NewTape returns an empty tape (with its own arena unless
-// SetArenaEnabled(false) is in effect).
+// NewTape returns an empty tape.
 func NewTape() *Tape {
-	t := &Tape{params: make(map[*mat.Dense]*Node), epoch: 1}
-	if arenaEnabled.Load() {
-		t.arena = mat.NewArena()
-	}
-	return t
+	return &Tape{params: make(map[*mat.Dense]*Node), epoch: 1}
 }
 
 // Reset begins a new epoch on the retained graph: the replay cursor
@@ -172,12 +151,11 @@ func (t *Tape) Reset() {
 }
 
 // Detach removes n's value from the tape's ownership and returns it:
-// the matrix survives any later Reset or recycling, and the tape
-// allocates a fresh buffer for the node's slot if the graph is rebuilt.
+// the matrix survives any later Reset, and the tape allocates a fresh
+// buffer for the node's slot if the graph is replayed.
 func (t *Tape) Detach(n *Node) *mat.Dense {
 	v := n.Value
 	n.Value = nil
-	n.owned = false
 	return v
 }
 
@@ -185,36 +163,6 @@ func (t *Tape) Detach(n *Node) *mat.Dense {
 // state training keeps this constant across epochs — tests use it to
 // assert the graph is reused, not regrown.
 func (t *Tape) NumNodes() int { return len(t.nodes) }
-
-// ArenaStats exposes the tape arena's counters (zeros without arena).
-func (t *Tape) ArenaStats() (gets, hits, puts uint64) { return t.arena.Stats() }
-
-// alloc takes a zeroed matrix from the tape's arena (or the heap).
-func (t *Tape) alloc(rows, cols int) *mat.Dense { return mat.NewIn(t.arena, rows, cols) }
-
-// recycleFrom drops the recorded nodes from position k on, returning
-// their buffers to the arena. Called when replay diverges from the
-// recording.
-func (t *Tape) recycleFrom(k int) {
-	for _, n := range t.nodes[k:] {
-		if n.owned && n.Value != nil {
-			n.Value.ReleaseTo(t.arena)
-		}
-		n.Value = nil
-		if n.Grad != nil {
-			n.Grad.ReleaseTo(t.arena)
-			n.Grad = nil
-		}
-		for i, s := range n.scratch {
-			if s != nil {
-				s.ReleaseTo(t.arena)
-				n.scratch[i] = nil
-			}
-		}
-		n.tape = nil
-	}
-	t.nodes = t.nodes[:k]
-}
 
 // next returns the node for the op being issued: the retained node at
 // the replay cursor when the position matches (same op, same inputs,
@@ -228,18 +176,18 @@ func (t *Tape) next(op opKind, a, b *Node, rows, cols int, requires bool) (*Node
 			(op == opConst || n.Value == nil || (n.Value.Rows() == rows && n.Value.Cols() == cols)) {
 			if op != opConst && n.Value == nil {
 				// Slot was detached: give it a fresh buffer.
-				n.Value = t.alloc(rows, cols)
-				n.owned = true
+				n.Value = mat.New(rows, cols)
 			}
 			t.cursor++
 			return n, true
 		}
-		t.recycleFrom(t.cursor)
+		// Replay diverged: drop the stale tail and record from here.
+		clear(t.nodes[t.cursor:])
+		t.nodes = t.nodes[:t.cursor]
 	}
 	n := &Node{tape: t, op: op, a: a, b: b, requires: requires}
 	if op != opConst {
-		n.Value = t.alloc(rows, cols)
-		n.owned = true
+		n.Value = mat.New(rows, cols)
 	}
 	t.nodes = append(t.nodes, n)
 	t.cursor++
@@ -285,7 +233,7 @@ func (t *Tape) Const(v *mat.Dense) *Node {
 // allocated on first use, re-zeroed on first use of a new epoch.
 func (n *Node) ensureGrad() *mat.Dense {
 	if n.Grad == nil {
-		n.Grad = n.tape.alloc(n.Value.Rows(), n.Value.Cols())
+		n.Grad = mat.New(n.Value.Rows(), n.Value.Cols())
 	} else if n.gradEpoch != n.tape.epoch {
 		n.Grad.Zero()
 	}
@@ -299,10 +247,7 @@ func (n *Node) ensureGrad() *mat.Dense {
 func (n *Node) scratchMat(slot, rows, cols int) *mat.Dense {
 	s := n.scratch[slot]
 	if s == nil || s.Rows() != rows || s.Cols() != cols {
-		if s != nil {
-			s.ReleaseTo(n.tape.arena)
-		}
-		s = n.tape.alloc(rows, cols)
+		s = mat.New(rows, cols)
 		n.scratch[slot] = s
 	}
 	return s
@@ -316,7 +261,7 @@ func (n *Node) scratchMat(slot, rows, cols int) *mat.Dense {
 func (n *Node) gradDst() (*mat.Dense, bool) {
 	fresh := false
 	if n.Grad == nil {
-		n.Grad = n.tape.alloc(n.Value.Rows(), n.Value.Cols())
+		n.Grad = mat.New(n.Value.Rows(), n.Value.Cols())
 		fresh = true
 	} else if n.gradEpoch != n.tape.epoch {
 		fresh = true

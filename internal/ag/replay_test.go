@@ -24,14 +24,6 @@ func trainStep(tp *Tape, x, w1, b1, w2 *mat.Dense, idx []int, target *mat.Dense)
 	return loss.Value.At(0, 0)
 }
 
-func cloneAll(ms ...*mat.Dense) []*mat.Dense {
-	out := make([]*mat.Dense, len(ms))
-	for i, m := range ms {
-		out[i] = m.Clone()
-	}
-	return out
-}
-
 // TestReplayMatchesFreshTapes is the core retained-tape equivalence
 // gate: training with one tape reset per step must be bitwise identical
 // to training with a fresh tape every step, including per-step index
@@ -87,7 +79,7 @@ func TestReplayMatchesFreshTapes(t *testing.T) {
 }
 
 // TestReplayDivergenceRecovers checks that changing the op sequence
-// mid-training recycles the stale tail and keeps producing correct
+// mid-training drops the stale tail and keeps producing correct
 // results (structure may change; only the allocation win is lost).
 func TestReplayDivergenceRecovers(t *testing.T) {
 	w := mat.FromRows([][]float64{{1, 2}, {3, 4}})
@@ -160,66 +152,37 @@ func TestDetachSurvivesReset(t *testing.T) {
 	}
 }
 
-// TestArenaOnOffBitwiseIdentical trains the same loop with the tape
-// arena enabled and disabled; every step's loss and the final
-// parameters must match bit for bit.
-func TestArenaOnOffBitwiseIdentical(t *testing.T) {
-	run := func(arena bool) (losses []float64, params []*mat.Dense) {
-		SetArenaEnabled(arena)
-		defer SetArenaEnabled(true)
-		rng := rand.New(rand.NewSource(3))
-		x := mat.RandNormal(rng, 8, 4, 1)
-		r := rand.New(rand.NewSource(11))
-		w1 := mat.RandNormal(r, 4, 5, 0.5)
-		b1 := mat.RandNormal(r, 1, 5, 0.1)
-		w2 := mat.RandNormal(r, 5, 1, 0.5)
-		tp := NewTape()
-		idxRng := rand.New(rand.NewSource(5))
-		for s := 0; s < 20; s++ {
-			idx := []int{idxRng.Intn(8), idxRng.Intn(8), idxRng.Intn(8)}
-			tg := mat.New(3, 1)
-			tg.Set(idxRng.Intn(3), 0, 1)
-			tp.Reset()
-			losses = append(losses, trainStep(tp, x, w1, b1, w2, idx, tg))
-		}
-		return losses, cloneAll(w1, b1, w2)
-	}
-	lossOn, paramsOn := run(true)
-	lossOff, paramsOff := run(false)
-	for i := range lossOn {
-		if lossOn[i] != lossOff[i] {
-			t.Fatalf("step %d: arena-on loss %v != arena-off loss %v", i, lossOn[i], lossOff[i])
-		}
-	}
-	for i := range paramsOn {
-		for k, v := range paramsOn[i].Data() {
-			if v != paramsOff[i].Data()[k] {
-				t.Fatalf("param %d element %d: arena-on %v != arena-off %v", i, k, v, paramsOff[i].Data()[k])
-			}
-		}
-	}
-}
-
-// TestReplayReusesArenaBuffers asserts the arena actually serves
-// recycled buffers once the graph has diverged and been rebuilt.
-func TestReplayReusesArenaBuffers(t *testing.T) {
+// TestPrefixReplayKeepsGraph replays only the first ops of a recorded
+// graph, as a model does when it computes its representations between
+// training epochs: the prefix reuses its recorded nodes and buffers,
+// and the next full epoch reuses the tail the prefix did not reach.
+func TestPrefixReplayKeepsGraph(t *testing.T) {
 	w := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	x := mat.FromRows([][]float64{{1, 0}, {0, 1}})
+	x := mat.FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	tp := NewTape()
-	for s := 0; s < 4; s++ {
-		tp.Reset()
-		// Alternate structures so every other epoch recycles the tail
-		// into the arena and records afresh from it.
-		h := tp.MatMul(tp.Const(x), tp.Param(w))
-		if s%2 == 0 {
-			h = tp.Scale(h, 2)
-		} else {
-			h = tp.Add(h, h)
-		}
-		tp.Backward(tp.Mean(h))
+	prefix := func() *Node { return tp.ReLU(tp.MatMul(tp.Const(x), tp.Param(w))) }
+	full := func() *Node {
+		h := prefix()
+		loss := tp.Mean(tp.Scale(h, 2))
+		tp.Backward(loss)
+		return h
 	}
-	_, hits, puts := tp.ArenaStats()
-	if puts == 0 || hits == 0 {
-		t.Fatalf("arena unused: hits=%d puts=%d", hits, puts)
+
+	tp.Reset()
+	h := full()
+	nodes, value := tp.NumNodes(), h.Value
+
+	tp.Reset()
+	if got := prefix(); got != h || got.Value != value {
+		t.Fatal("prefix replay did not reuse the recorded node and buffer")
+	}
+	if tp.NumNodes() != nodes {
+		t.Fatalf("prefix replay changed the graph from %d to %d nodes", nodes, tp.NumNodes())
+	}
+
+	tp.Reset()
+	if got := full(); got != h || got.Value != value || tp.NumNodes() != nodes {
+		t.Fatalf("full replay after a prefix: node reused %v, buffer reused %v, %d nodes, want %d",
+			got == h, got.Value == value, tp.NumNodes(), nodes)
 	}
 }

@@ -59,7 +59,7 @@ func (s *SafeDrug) Fit(d *dataset.Dataset) {
 	if s.VisitHistory != nil {
 		s.gru = nn.NewGRUCell(rng, &s.params, nD, s.Hidden)
 	} else {
-		s.encoder = nn.NewMLP(rng, &s.params, []int{d.X.Cols(), s.Hidden, s.Hidden}, nn.ActReLU, false)
+		s.encoder = nn.NewMLP(rng, &s.params, []int{d.X.Cols(), s.Hidden, s.Hidden}, nn.ActReLU)
 	}
 	s.readout = nn.NewLinear(rng, &s.params, s.Hidden, nD)
 	// Collect antagonistic pairs for the safety penalty.
@@ -193,7 +193,7 @@ func (c *CauseRec) Fit(d *dataset.Dataset) {
 	c.d = d
 	c.rng = rand.New(rand.NewSource(c.Seed))
 	rng := rand.New(rand.NewSource(c.Seed))
-	c.encoder = nn.NewMLP(rng, &c.params, []int{d.X.Cols(), c.Hidden, c.Hidden}, nn.ActReLU, false)
+	c.encoder = nn.NewMLP(rng, &c.params, []int{d.X.Cols(), c.Hidden, c.Hidden}, nn.ActReLU)
 	c.readout = nn.NewLinear(rng, &c.params, c.Hidden, d.NumDrugs())
 
 	x := d.Rows(d.Train)

@@ -10,13 +10,11 @@ import (
 	"dssddi/internal/sparse"
 )
 
-// encoder produces drug relation embeddings: embed records the forward
-// pass on a tape for training; inferEmbed is the tape-free inference
-// path (plain Dense evaluation, no nodes or backward closures) and
-// must produce bitwise-identical values.
+// encoder produces drug relation embeddings (N x Hidden) on a tape:
+// training records its forward pass there, and the final embeddings
+// are one more replay of it.
 type encoder interface {
-	embed(t *ag.Tape) *ag.Node // N x Hidden
-	inferEmbed() *mat.Dense    // N x Hidden, tape-free
+	embed(t *ag.Tape) *ag.Node
 }
 
 // signEdges extracts the directed edge lists (both directions of every
@@ -74,16 +72,6 @@ func broadcastScalar(t *ag.Tape, p *mat.Dense, idx []int) *ag.Node {
 	return t.GatherRows(t.Param(p), idx)
 }
 
-// rowDot computes out[i] = a[i]·b[i] on plain matrices — the inference
-// counterpart of Tape.RowDot (same per-element order).
-func rowDot(a, b *mat.Dense) *mat.Dense {
-	out := mat.New(a.Rows(), 1)
-	for i := 0; i < a.Rows(); i++ {
-		out.Set(i, 0, mat.Dot(a.Row(i), b.Row(i)))
-	}
-	return out
-}
-
 // --- GIN -------------------------------------------------------------
 
 // ginEncoder implements Eq. 1: z_v = MLP((1+eps) z_v + mean_{u∈N(v)} z_u),
@@ -127,25 +115,6 @@ func (e *ginEncoder) embed(t *ag.Tape) *ag.Node {
 		// (Eq. 5) can reach the -1 antagonism target.
 		if l < len(e.layers)-1 {
 			h = t.ReLU(h)
-		}
-	}
-	return h
-}
-
-func (e *ginEncoder) inferEmbed() *mat.Dense {
-	h := e.input.Forward(e.oneHot)
-	for l, lin := range e.layers {
-		agg := e.adj.MulDense(h)
-		// pre = (h + eps*h) + agg, matching the tape's
-		// Add(Add(h, ScaleRows(h, eps)), agg) element order.
-		scaled := h.Clone()
-		scaled.Scale(e.eps[l].At(0, 0))
-		pre := h.Clone()
-		pre.AddScaled(scaled, 1)
-		pre.AddScaled(agg, 1)
-		h = e.norms[l].Forward(lin.Forward(pre))
-		if l < len(e.layers)-1 {
-			h = nn.ForwardActivation(h, nn.ActReLU)
 		}
 	}
 	return h
@@ -196,18 +165,6 @@ func (e *sgcnEncoder) embed(t *ag.Tape) *ag.Node {
 		hU = t.Tanh(e.wU[l].Apply(t, uIn))
 	}
 	return t.ConcatCols(hB, hU) // Eq. 4
-}
-
-func (e *sgcnEncoder) inferEmbed() *mat.Dense {
-	hB := e.inputB.Forward(e.oneHot)
-	hU := e.inputU.Forward(e.oneHot)
-	for l := range e.wB {
-		bIn := mat.ConcatCols(mat.ConcatCols(e.adjSyn.MulDense(hB), e.adjAnt.MulDense(hU)), hB)
-		uIn := mat.ConcatCols(mat.ConcatCols(e.adjSyn.MulDense(hU), e.adjAnt.MulDense(hB)), hU)
-		hB = nn.ForwardActivation(e.wB[l].Forward(bIn), nn.ActTanh)
-		hU = nn.ForwardActivation(e.wU[l].Forward(uIn), nn.ActTanh)
-	}
-	return mat.ConcatCols(hB, hU)
 }
 
 // --- Signed attention backbones ---------------------------------------
@@ -332,66 +289,6 @@ func (e *attnEncoder) embed(t *ag.Tape) *ag.Node {
 		// Keep the final layer linear for the signed decoder.
 		if l < len(e.combine)-1 {
 			h = t.ReLU(h)
-		}
-	}
-	return h
-}
-
-// attendInferSigned is the tape-free counterpart of attend: same
-// kernels and element formulas, so values match the tape bitwise.
-func (e *attnEncoder) attendInferSigned(h *mat.Dense, src, dst []int,
-	inc *sparse.CSR, attn, proj *nn.Linear) *mat.Dense {
-
-	hu := h.GatherRows(src)
-	hv := h.GatherRows(dst)
-	var logits *mat.Dense
-	if e.kind == kindSiGAT {
-		logits = attn.Forward(mat.ConcatCols(hu, hv))
-	} else {
-		logits = rowDot(proj.Forward(hu), proj.Forward(hv))
-	}
-	logits.ApplyInPlace(func(x float64) float64 { // LeakyReLU, slope 0.2
-		if x > 0 {
-			return x
-		}
-		return 0.2 * x
-	})
-	logits.ApplyInPlace(mat.Sigmoid)
-	msg := mat.New(hu.Rows(), hu.Cols())
-	for i := 0; i < hu.Rows(); i++ {
-		s := logits.At(i, 0)
-		hrow := hu.Row(i)
-		mrow := msg.Row(i)
-		for j, v := range hrow {
-			mrow[j] = s * v
-		}
-	}
-	return inc.MulDense(msg)
-}
-
-func (e *attnEncoder) inferEmbed() *mat.Dense {
-	h := e.input.Forward(e.oneHot)
-	for l := range e.combine {
-		var aggSyn, aggAnt *mat.Dense
-		var attnS, attnA, projS, projA *nn.Linear
-		if e.kind == kindSiGAT {
-			attnS, attnA = e.attnSyn[l], e.attnAnt[l]
-		} else {
-			projS, projA = e.projSyn[l], e.projAnt[l]
-		}
-		if e.haveSyn {
-			aggSyn = e.attendInferSigned(h, e.srcSyn, e.dstSyn, e.incSyn, attnS, projS)
-		} else {
-			aggSyn = e.zeroAgg
-		}
-		if e.haveAnt {
-			aggAnt = e.attendInferSigned(h, e.srcAnt, e.dstAnt, e.incAnt, attnA, projA)
-		} else {
-			aggAnt = e.zeroAgg
-		}
-		h = e.combine[l].Forward(mat.ConcatCols(mat.ConcatCols(aggSyn, aggAnt), h))
-		if l < len(e.combine)-1 {
-			h = nn.ForwardActivation(h, nn.ActReLU)
 		}
 	}
 	return h

@@ -7,9 +7,10 @@ import (
 )
 
 // TestInferEmbedMatchesTape trains a few epochs per backbone, then
-// checks the tape-free inference path reproduces the tape forward pass
-// bit for bit — the equivalence the cached-embedding read paths rely
-// on.
+// checks the post-training embedding cache equals the encoder run on a
+// fresh tape over the trained parameters, bit for bit: the cache is
+// the final replay of the training tape's encoder, so it must not
+// depend on that tape's history.
 func TestInferEmbedMatchesTape(t *testing.T) {
 	for _, backbone := range []Backbone{GIN, SGCN, SiGAT, SNEA} {
 		t.Run(backbone.String(), func(t *testing.T) {
@@ -21,41 +22,16 @@ func TestInferEmbedMatchesTape(t *testing.T) {
 			m := NewModel(toyGraph(), cfg)
 			m.Train()
 
-			tape := ag.NewTape()
-			want := m.enc.embed(tape).Value
-			got := m.enc.inferEmbed()
+			want := m.enc.embed(ag.NewTape()).Value
+			got := m.Embeddings()
 			if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
 				t.Fatalf("shape %dx%d, want %dx%d", got.Rows(), got.Cols(), want.Rows(), want.Cols())
 			}
 			for i, v := range got.Data() {
 				if v != want.Data()[i] {
-					t.Fatalf("element %d: infer %v != tape %v", i, v, want.Data()[i])
-				}
-			}
-			// The post-training cache must serve the same values.
-			emb := m.Embeddings()
-			for i, v := range emb.Data() {
-				if v != want.Data()[i] {
-					t.Fatalf("cached element %d: %v != tape %v", i, v, want.Data()[i])
+					t.Fatalf("cached element %d: %v != fresh tape %v", i, v, want.Data()[i])
 				}
 			}
 		})
-	}
-}
-
-// TestLossMatchesTapeForward checks the tape-free Loss equals the
-// training-tape loss value exactly.
-func TestLossMatchesTapeForward(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hidden = 8
-	cfg.Layers = 2
-	cfg.Epochs = 2
-	m := NewModel(toyGraph(), cfg)
-	m.Train()
-
-	tape := ag.NewTape()
-	_, loss := m.forward(tape)
-	if got, want := m.Loss(), loss.Value.At(0, 0); got != want {
-		t.Fatalf("tape-free loss %v != tape loss %v", got, want)
 	}
 }

@@ -26,7 +26,7 @@ type Model struct {
 	grads []*mat.Dense
 
 	// emb caches the relation embeddings once training finishes, so
-	// read paths never rebuild the encoder forward pass.
+	// read paths never rerun the encoder.
 	emb *mat.Dense
 }
 
@@ -66,7 +66,9 @@ func (m *Model) forward(t *ag.Tape) (*ag.Node, *ag.Node) {
 // Train fits the model for Config.Epochs, returning the loss history.
 // One tape serves the whole run: each epoch resets and replays it, so
 // steady-state epochs reuse every node, value, gradient and scratch
-// buffer of the previous one.
+// buffer of the previous one. The final embeddings are one more replay
+// of the encoder on the trained parameters, detached into the cache.
+// Train must not run concurrently with any other method of m.
 func (m *Model) Train() []float64 {
 	opt := optim.NewAdam(m.Config.LR)
 	if m.tape == nil {
@@ -85,38 +87,27 @@ func (m *Model) Train() []float64 {
 		opt.Step(m.params.All(), m.grads)
 		losses = append(losses, loss.Value.At(0, 0))
 	}
-	m.emb = m.enc.inferEmbed()
+	m.tape.Reset()
+	m.emb = m.tape.Detach(m.enc.embed(m.tape))
 	return losses
 }
 
 // Embeddings returns the drug relation embedding matrix (N x Hidden)
-// through the tape-free inference path. After Train it is served from
-// the post-training cache; the result is always a private copy.
+// as a private copy. After Train it is served from the post-training
+// cache and is safe for concurrent callers. Before Train it runs the
+// encoder on a fresh tape, which (like Train) writes the BatchNorm
+// layers' retained statistics, so that call must not run concurrently.
 func (m *Model) Embeddings() *mat.Dense {
 	if m.emb != nil {
 		return m.emb.Clone()
 	}
-	return m.enc.inferEmbed()
+	return m.enc.embed(ag.NewTape()).Value
 }
 
 // EdgeScore predicts the interaction score between two drugs from the
 // current embeddings (ẑ ≈ +1 synergy, -1 antagonism, 0 none).
 func (m *Model) EdgeScore(z *mat.Dense, u, v int) float64 {
 	return mat.Dot(z.Row(u), z.Row(v))
-}
-
-// Loss returns the current training loss (without stepping), computed
-// on the tape-free inference path — no nodes, no gradients.
-func (m *Model) Loss() float64 {
-	z := m.enc.inferEmbed()
-	n := float64(len(m.Graph.Targets))
-	var sum float64
-	for i := range m.Graph.EdgeU {
-		s := mat.Dot(z.Row(m.Graph.EdgeU[i]), z.Row(m.Graph.EdgeV[i]))
-		d := s - m.Graph.Targets[i]
-		sum += d * d
-	}
-	return sum / n
 }
 
 // NumParams reports the trainable parameter count.

@@ -46,10 +46,11 @@ func TestMulRowIntoMatchesMatMul(t *testing.T) {
 // MulRowInto. The shapes put d
 // off the quad grid (d % 4 == 3 included, where t closes the last
 // quad) and off blockK, the widths off the eight-lane grid, and
-// include a single-column layer. Even rows of every block open with
-// an all-zero quad and end in t = 0 (in an all-zero quad when
-// d % 4 == 3), and both sit in front of an Inf weight: the zero skips must keep the Inf (and the NaN 0*Inf would
-// make) out of those rows' sums.
+// include a single-column layer. Even rows open with an all-zero quad
+// and end in t = 0 (in an all-zero quad when d % 4 == 3), and both sit
+// in front of an Inf weight: the zero skips must keep the Inf (and the
+// NaN 0*Inf would make) out of those rows' sums. Blocks made of odd
+// rows alone run the AVX-512 register tile.
 func TestMulRowsKernelsMatchPerRow(t *testing.T) {
 	defer setSIMD(simdEnabled())
 	for _, simd := range []bool{true, false} {
@@ -111,20 +112,32 @@ func checkMulRowsHadamard[T Float](t *testing.T, simd bool, d, h int) {
 			}
 		}
 	}
-	for nb := 1; nb <= rows; nb++ {
-		got := make([][]T, nb)
-		for i := range got {
-			got[i] = make([]T, h)
-			for j := range got[i] { // stale scratch must not leak in
-				got[i][j] = T(math.NaN())
+	// Blocks of rows 0, 1, ... mix both kinds of row and take the
+	// per-quad kernel; blocks of odd rows only have no all-zero quad,
+	// so at AVX-512 they run the register tile (a full tile of 8 pairs,
+	// then a 1-pair one).
+	inOrder, oddOnly := make([]int, rows), make([]int, rows)
+	for i := range inOrder {
+		inOrder[i], oddOnly[i] = i, 1+2*(i%(rows/2))
+	}
+	for _, order := range [][]int{inOrder, oddOnly} {
+		for nb := 1; nb <= rows; nb++ {
+			got := make([][]T, nb)
+			bys, bts := make([][]T, nb), make([]T, nb)
+			for i, r := range order[:nb] {
+				got[i] = make([]T, h)
+				for j := range got[i] { // stale scratch must not leak in
+					got[i][j] = T(math.NaN())
+				}
+				bys[i], bts[i] = ys[r], ts[r]
 			}
-		}
-		MulRowsHadamardInto(got, x, ys[:nb], ts[:nb], w, make([]T, PairCoefLen(d)))
-		for i := range got {
-			for j, g := range got[i] {
-				if math.Float64bits(float64(g)) != math.Float64bits(float64(want[i][j])) {
-					t.Fatalf("%T simd=%v d=%d h=%d block %d row %d col %d: MulRowsHadamardInto %v != per-row %v",
-						g, simd, d, h, nb, i, j, g, want[i][j])
+			MulRowsHadamardInto(got, x, bys, bts, w, make([]T, PairCoefLen(d)))
+			for i, r := range order[:nb] {
+				for j, g := range got[i] {
+					if math.Float64bits(float64(g)) != math.Float64bits(float64(want[r][j])) {
+						t.Fatalf("%T simd=%v d=%d h=%d block %v row %d col %d: MulRowsHadamardInto %v != per-row %v",
+							g, simd, d, h, order[:nb], r, j, g, want[r][j])
+					}
 				}
 			}
 		}

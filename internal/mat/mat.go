@@ -105,18 +105,6 @@ func (m *Dense) rowPanic(i int) {
 	panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
 }
 
-// Col copies column j into a new slice.
-func (m *Dense) Col(j int) []float64 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: col %d out of range %d", j, m.cols))
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	c := New(m.rows, m.cols)

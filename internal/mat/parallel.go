@@ -417,13 +417,6 @@ func ZipInto(dst, a, b *Dense, f func(av, bv float64) float64) {
 	t.run(len(dst.data), ewGrain)
 }
 
-// RepRow returns an n-row matrix whose every row is a copy of row.
-func RepRow(row []float64, n int) *Dense {
-	out := New(n, len(row))
-	RepRowInto(out, row)
-	return out
-}
-
 // RepRowInto fills every row of dst with a copy of row.
 func RepRowInto(dst *Dense, row []float64) {
 	if dst.cols != len(row) {

@@ -156,7 +156,11 @@ func TestElementwiseParallelMatchesSerial(t *testing.T) {
 			}
 			return a.GatherRows(idx)
 		}},
-		{"RepRow", func() *Dense { return RepRow(a.Row(0), 400) }},
+		{"RepRowInto", func() *Dense {
+			dst := New(400, a.Cols())
+			RepRowInto(dst, a.Row(0))
+			return dst
+		}},
 	}
 	for _, k := range kernels {
 		s, p := serialThenParallel(k.f)

@@ -8,15 +8,19 @@ import (
 	"dssddi/internal/optim"
 )
 
-// TestSteadyStateEpochAllocBudget is the MDGCN half of the ISSUE 2
-// allocation gate: once the tape is recorded and the counterfactual
-// cache is warm, a training epoch must stay within a fixed small
-// allocation budget. Serial kernels keep the count deterministic.
-func TestSteadyStateEpochAllocBudget(t *testing.T) {
-	const budget = 100
-	mat.SetWorkers(1)
-	defer mat.SetWorkers(0)
+// steadyEpochBudget bounds the allocations of one steady-state MDGCN
+// training epoch on serial kernels.
+const steadyEpochBudget = 100
 
+// steadyModel trains a small MDGCN so its tape is recorded and its
+// counterfactual cache warm, and returns it with one epoch of Train's
+// loop on a fresh optimizer, already run once to warm that optimizer.
+// Serial kernels keep allocation counts deterministic until the test
+// ends.
+func steadyModel(t *testing.T) (*Model, func()) {
+	t.Helper()
+	mat.SetWorkers(1)
+	t.Cleanup(func() { mat.SetWorkers(0) })
 	d := smallDataset(31)
 	cfg := DefaultConfig()
 	cfg.Hidden = 16
@@ -32,19 +36,55 @@ func TestSteadyStateEpochAllocBudget(t *testing.T) {
 		tp := m.tape
 		tp.Reset()
 		hPat, hDrug := m.encode(tp)
-		logits := m.decode(tp, hPat, hDrug, ps, vs, tr)
-		loss := tp.BCEWithLogits(logits, y)
+		inter := m.decodeInter(tp, hPat, hDrug, ps, vs)
+		loss := tp.BCEWithLogits(m.decodeWith(tp, inter, tr), y)
 		if cfY != nil && m.Config.Delta > 0 {
-			cfLogits := m.decode(tp, hPat, hDrug, ps, vs, cfT)
-			loss = tp.Add(loss, tp.Scale(tp.BCEWithLogits(cfLogits, cfY), m.Config.Delta))
+			cfLoss := tp.BCEWithLogits(m.decodeWith(tp, inter, cfT), cfY)
+			loss = tp.Add(loss, tp.Scale(cfLoss, m.Config.Delta))
 		}
 		tp.Backward(loss)
 		nn.CollectGradsInto(m.grads, tp, &m.params)
 		optim.ClipGlobalNorm(m.grads, 5)
 		opt.Step(m.params.All(), m.grads)
 	}
-	step() // warm the fresh optimizer
-	if got := testing.AllocsPerRun(10, step); got > budget {
-		t.Fatalf("steady-state MDGCN epoch allocates %.1f objects, budget %d", got, budget)
+	step()
+	return m, step
+}
+
+// TestSteadyStateEpochAllocBudget is the MDGCN half of the training
+// allocation gate: once the tape is recorded and the counterfactual
+// cache is warm, a training epoch must stay within a fixed small
+// allocation budget.
+func TestSteadyStateEpochAllocBudget(t *testing.T) {
+	_, step := steadyModel(t)
+	if got := testing.AllocsPerRun(10, step); got > steadyEpochBudget {
+		t.Fatalf("steady-state MDGCN epoch allocates %.1f objects, budget %d", got, steadyEpochBudget)
+	}
+}
+
+// TestValidationReplaysEncodePrefix pins how mid-training validation
+// gets its drug representations: inferDrugReps replays encode, the
+// first ops of the training graph, on the retained tape. The graph
+// must keep its size across that replay, and the epoch after it must
+// stay within the steady-state budget; both fail if encode ever stops
+// being the training graph's prefix, because the replay would then cut
+// the graph and the next epoch would record it again.
+func TestValidationReplaysEncodePrefix(t *testing.T) {
+	m, step := steadyModel(t)
+	nodes := m.tape.NumNodes()
+	m.inferDrugReps()
+	if got := m.tape.NumNodes(); got != nodes {
+		t.Fatalf("inferDrugReps changed the training graph from %d to %d nodes", nodes, got)
+	}
+	step()
+	if got := m.tape.NumNodes(); got != nodes {
+		t.Fatalf("the epoch after inferDrugReps changed the graph from %d to %d nodes", nodes, got)
+	}
+	got := testing.AllocsPerRun(10, func() {
+		m.inferDrugReps()
+		step()
+	})
+	if got > steadyEpochBudget {
+		t.Fatalf("inferDrugReps plus an epoch allocates %.1f objects, budget %d", got, steadyEpochBudget)
 	}
 }

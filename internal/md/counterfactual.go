@@ -7,17 +7,6 @@ import (
 	"dssddi/internal/mat"
 )
 
-// Counterfactuals holds, for a list of (patient, drug) training pairs,
-// the counterfactual treatment and outcome of Eq. 8.
-type Counterfactuals struct {
-	// TCF[i] and YCF[i] align with the i-th training pair.
-	TCF []float64
-	YCF []float64
-	// Matched[i] reports whether a counterfactual neighbour satisfying
-	// Eq. 7 was found (otherwise the factual values are carried over).
-	Matched []bool
-}
-
 // CFConfig tunes counterfactual mining. GammaP/GammaD are the γp/γd
 // distance ceilings of Eq. 7, expressed as quantiles of the observed
 // nearest-neighbour distance distributions (0.3 means "the closest 30%
@@ -113,21 +102,6 @@ func (m *Miner) Mine(p, v int) (tcf, ycf float64, matched bool) {
 	}
 	m.cache[key] = e
 	return e.tcf, e.ycf, e.matched
-}
-
-// MineCounterfactuals is the batch form of Miner.Mine over parallel
-// pair slices.
-func MineCounterfactuals(x, z, tmat, y *mat.Dense, pIdx, vIdx []int, cfg CFConfig) *Counterfactuals {
-	miner := NewMiner(x, z, tmat, y, cfg)
-	cf := &Counterfactuals{
-		TCF:     make([]float64, len(pIdx)),
-		YCF:     make([]float64, len(pIdx)),
-		Matched: make([]bool, len(pIdx)),
-	}
-	for i := range pIdx {
-		cf.TCF[i], cf.YCF[i], cf.Matched[i] = miner.Mine(pIdx[i], vIdx[i])
-	}
-	return cf
 }
 
 type neighbour struct {

@@ -121,8 +121,8 @@ func (m *Model) EmbedPatient(regimen []int, features []float64) (*PatientEmbeddi
 
 // inductiveInputs lazily builds (and caches) the inputs of the
 // feature-free inductive aggregation: the per-layer drug
-// representations d_0..d_{L-1} of the training propagation — the same
-// tape-free recurrence as inferDrugReps, retaining each layer instead
+// representations d_0..d_{L-1} of the training propagation — encode's
+// recurrence evaluated on plain matrices, retaining each layer instead
 // of only their β-combination — and the drugs' observed bipartite
 // degrees. Everything is derived from state NewServing restores, so a
 // snapshot-loaded model embeds identically to the model it was saved

@@ -82,16 +82,16 @@ func TestMineCounterfactualsFindsOppositeTreatment(t *testing.T) {
 	z := mat.FromRows([][]float64{{0}, {1}})
 	tmat := mat.FromRows([][]float64{{1, 0}, {0, 0}, {1, 1}, {0, 1}})
 	y := mat.FromRows([][]float64{{1, 0}, {0, 0}, {1, 1}, {0, 1}})
-	cf := MineCounterfactuals(x, z, tmat, y, []int{0}, []int{0},
-		CFConfig{GammaPQuantile: 0.9, GammaDQuantile: 0.9, Shortlist: 4})
-	if !cf.Matched[0] {
+	tcf, ycf, matched := NewMiner(x, z, tmat, y,
+		CFConfig{GammaPQuantile: 0.9, GammaDQuantile: 0.9, Shortlist: 4}).Mine(0, 0)
+	if !matched {
 		t.Fatal("expected a counterfactual match")
 	}
-	if cf.TCF[0] != 0 {
-		t.Fatalf("TCF = %v, want 0 (opposite treatment)", cf.TCF[0])
+	if tcf != 0 {
+		t.Fatalf("TCF = %v, want 0 (opposite treatment)", tcf)
 	}
-	if cf.YCF[0] != 0 {
-		t.Fatalf("YCF = %v, want patient 1's outcome 0", cf.YCF[0])
+	if ycf != 0 {
+		t.Fatalf("YCF = %v, want patient 1's outcome 0", ycf)
 	}
 }
 
@@ -101,11 +101,11 @@ func TestMineCounterfactualsFallsBackToFactual(t *testing.T) {
 	z := mat.FromRows([][]float64{{0}})
 	tmat := mat.FromRows([][]float64{{1}})
 	y := mat.FromRows([][]float64{{1}})
-	cf := MineCounterfactuals(x, z, tmat, y, []int{0}, []int{0}, DefaultCFConfig())
-	if cf.Matched[0] {
+	tcf, ycf, matched := NewMiner(x, z, tmat, y, DefaultCFConfig()).Mine(0, 0)
+	if matched {
 		t.Fatal("no match possible")
 	}
-	if cf.TCF[0] != 1 || cf.YCF[0] != 1 {
+	if tcf != 1 || ycf != 1 {
 		t.Fatal("fallback must carry factual values")
 	}
 }

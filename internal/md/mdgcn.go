@@ -148,13 +148,13 @@ func NewModel(d *dataset.Dataset, relEmb *mat.Dense, cfg Config) *Model {
 	m.trainX = d.Rows(d.Train)
 	m.trainY = d.Labels(d.Train)
 
-	m.fcPat = nn.NewMLP(rng, &m.params, []int{d.X.Cols(), cfg.Hidden, cfg.Hidden}, nn.ActLeakyReLU, false)
+	m.fcPat = nn.NewMLP(rng, &m.params, []int{d.X.Cols(), cfg.Hidden, cfg.Hidden}, nn.ActLeakyReLU)
 	m.fcPat.OutAct = nn.ActLeakyReLU
 	m.fcDrug = nn.NewLinear(rng, &m.params, m.drugFeat.Cols(), cfg.Hidden)
 	if relEmb != nil && relEmb.Cols() != cfg.Hidden {
 		m.relProj = nn.NewLinear(rng, &m.params, relEmb.Cols(), cfg.Hidden)
 	}
-	m.decoder = nn.NewMLP(rng, &m.params, []int{cfg.Hidden + 1, cfg.Hidden, 1}, nn.ActLeakyReLU, false)
+	m.decoder = nn.NewMLP(rng, &m.params, []int{cfg.Hidden + 1, cfg.Hidden, 1}, nn.ActLeakyReLU)
 
 	m.l2r, m.r2l = sparse.BipartiteNorm(len(d.Train), d.NumDrugs(), d.ObservedBipartite().Links())
 
@@ -280,18 +280,14 @@ func (m *Model) decodeWith(t *ag.Tape, inter *ag.Node, treatments *mat.Dense) *a
 	return m.decoder.Apply(t, t.ConcatCols(inter, t.Const(treatments)))
 }
 
-// decode scores (patient, drug) pairs: MLP([h_i ⊙ h'_v, T_iv])
-// (Eqs. 14-15). treatments is an (E x 1) column.
-func (m *Model) decode(t *ag.Tape, hPat, hDrug *ag.Node, pIdx, vIdx []int, treatments *mat.Dense) *ag.Node {
-	return m.decodeWith(t, m.decodeInter(t, hPat, hDrug, pIdx, vIdx), treatments)
-}
-
 // Train fits the model, returning the loss history (L = LC + δ·LCF,
 // Eq. 18). With SelectOnVal the parameters giving the best validation
 // NDCG@4 are restored at the end. One retained tape serves every
 // epoch: Reset + replay reuses the whole graph and its buffers, so
-// steady-state epochs allocate ~nothing. The final drug
-// representations are cached for the tape-free scoring path.
+// steady-state epochs allocate ~nothing, and validation replays only
+// the encoder prefix of that graph (inferDrugReps). The final drug
+// representations are cached for the fused scoring engine. Train must
+// not run concurrently with any other method of m.
 func (m *Model) Train() []float64 {
 	opt := optim.NewAdam(m.Config.LR)
 	opt.WeightDecay = m.Config.WeightDecay
@@ -343,7 +339,7 @@ func (m *Model) Train() []float64 {
 	if bestSnap != nil {
 		restore(m.params.All(), bestSnap)
 	}
-	m.drugCache = m.inferDrugReps()
+	m.drugCache = m.inferDrugReps().Clone()
 	return losses
 }
 
@@ -416,36 +412,26 @@ func restore(params, snap []*mat.Dense) {
 }
 
 // inferDrugReps computes the final drug representations h'_v
-// (Eqs. 10-13 plus the DDI embedding addition) on the tape-free
-// inference path: plain Dense evaluation, bitwise identical to the
-// tape encode.
+// (Eqs. 10-13 plus the DDI embedding addition) by replaying encode,
+// the first ops of the training graph, on the retained tape. During
+// training that replay reuses the recorded nodes, so mid-training
+// validation allocates nothing after its first run. The result is the
+// tape node's buffer: it stays valid until the next Reset.
 func (m *Model) inferDrugReps() *mat.Dense {
-	hPat := m.fcPat.Forward(m.trainX)
-	hDrug := nn.ForwardActivation(m.fcDrug.Forward(m.drugFeat), nn.ActLeakyReLU)
-	pT, dT := hPat, hDrug
-	hFinal := hDrug.Clone()
-	hFinal.Scale(beta(0))
-	for layer := 1; layer <= m.Config.PropLayers; layer++ {
-		pNext := m.l2r.MulDense(dT)
-		dNext := m.r2l.MulDense(pT)
-		pT, dT = pNext, dNext
-		scaled := dT.Clone()
-		scaled.Scale(beta(layer))
-		hFinal.AddScaled(scaled, 1)
+	if m.tape == nil {
+		m.tape = ag.NewTape()
 	}
-	if m.Config.UseDDI && m.relEmb != nil {
-		rel := m.relEmb
-		if m.relProj != nil {
-			rel = m.relProj.Forward(m.relEmb)
-		}
-		hFinal.AddScaled(rel, 1)
-	}
-	return hFinal
+	m.tape.Reset()
+	_, hDrug := m.encode(m.tape)
+	return hDrug.Value
 }
 
 // drugReps serves the final drug representations: from the
-// post-training cache when available, recomputed otherwise (e.g.
-// validation scoring mid-training).
+// post-training cache when available, recomputed on the tape otherwise
+// (validation scoring mid-training). The fallback runs only while
+// drugCache is nil, i.e. before Train finishes, and it must not run
+// concurrently; serving models always hold the cache, because
+// NewServing requires it.
 func (m *Model) drugReps() *mat.Dense {
 	if m.drugCache != nil {
 		return m.drugCache
@@ -456,10 +442,11 @@ func (m *Model) drugReps() *mat.Dense {
 // Scores predicts medication-use probabilities for the given GLOBAL
 // patient indices (typically validation or test patients), returning a
 // (len(patients) x drugs) matrix. Treatments for unobserved patients
-// come from Treatment.InferRow. The whole path is tape-free and runs
-// on the tiled fused engine in score.go — no autodiff machinery, no
-// pair-matrix materialization — and is bitwise identical to the
-// batched reference path (reference_test.go) for any worker count.
+// come from Treatment.InferRow. Scoring runs on the tiled fused engine
+// in score.go — no autodiff machinery, no pair-matrix materialization —
+// over the drug representations drugReps serves, and is bitwise
+// identical to the batched reference path (reference_test.go) for any
+// worker count.
 func (m *Model) Scores(patients []int) *mat.Dense {
 	out := mat.New(len(patients), m.Data.NumDrugs())
 	m.ScoresInto(out, patients)

@@ -11,8 +11,8 @@ import (
 // equivalence oracle the fused engine is tested against (score_test.go,
 // inductive_test.go).
 
-// decodeInfer is the tape-free counterpart of decode: same kernels,
-// bitwise-identical logits, no graph nodes.
+// decodeInfer is the tape-free counterpart of decodeInter followed by
+// decodeWith: same kernels, bitwise-identical logits, no graph nodes.
 func (m *Model) decodeInfer(hPat, hDrug *mat.Dense, pIdx, vIdx []int, treatments *mat.Dense) *mat.Dense {
 	hi := hPat.GatherRows(pIdx)
 	hv := hDrug.GatherRows(vIdx)

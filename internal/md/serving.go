@@ -99,10 +99,10 @@ func NewServing(d *dataset.Dataset, st ServingState) (*Model, error) {
 		m.params.Register(l.B)
 	}
 	// Derived, dataset-owned inputs: the drug features, the observed
-	// patients' rows and the bipartite propagation operators. They are
-	// only needed by the inferDrugReps fallback (the cache normally
-	// serves every request), but restoring them keeps the whole
-	// inference surface of the model working.
+	// patients' rows and the bipartite propagation operators. The
+	// inductive patient layer derives its inputs from them (the drug
+	// cache serves every other request), and they keep encode runnable
+	// on a restored model.
 	m.drugFeat = d.DrugFeatures
 	if m.drugFeat == nil {
 		m.drugFeat = mat.OneHot(d.NumDrugs())

@@ -102,7 +102,7 @@ func TestNewServingValidation(t *testing.T) {
 		{cfg.Hidden + 1, cfg.Hidden, cfg.Hidden, 1}, // three layers
 	} {
 		broken = good
-		broken.Decoder = nn.NewMLP(rng, &ps, sizes, nn.ActLeakyReLU, false)
+		broken.Decoder = nn.NewMLP(rng, &ps, sizes, nn.ActLeakyReLU)
 		if _, err := NewServing(d, broken); err == nil {
 			t.Fatalf("decoder %v must be rejected", sizes)
 		}

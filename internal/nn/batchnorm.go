@@ -87,7 +87,8 @@ func (bn *BatchNorm) stats(x *mat.Dense) {
 }
 
 // Apply normalises x (n x d) column-wise and applies the affine
-// transform on the tape.
+// transform on the tape. It overwrites the layer's retained batch
+// statistics, so, like the tape it feeds, it is single-goroutine.
 func (bn *BatchNorm) Apply(t *ag.Tape, x *ag.Node) *ag.Node {
 	n := x.Rows()
 	if n == 0 {
@@ -104,49 +105,4 @@ func (bn *BatchNorm) Apply(t *ag.Tape, x *ag.Node) *ag.Node {
 	// the gradient flows back into the single gamma row.
 	gammaNode := t.GatherRows(t.Param(bn.Gamma), bn.idx) // all rows = row 0
 	return t.AddBias(t.Hadamard(xhat, gammaNode), t.Param(bn.Beta))
-}
-
-// Forward is the tape-free inference path: it computes exactly the
-// same values as Apply (same operation order, bitwise identical)
-// without building graph nodes. Unlike Apply — which, like the tape
-// it feeds, is single-goroutine by design — Forward keeps its batch
-// statistics on the stack, so concurrent inference calls are safe and
-// the retained training buffers are never touched.
-func (bn *BatchNorm) Forward(x *mat.Dense) *mat.Dense {
-	n, d := x.Rows(), x.Cols()
-	if n == 0 {
-		return x
-	}
-	mean := make([]float64, d)
-	invStd := make([]float64, d)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			dv := v - mean[j]
-			invStd[j] += dv * dv
-		}
-	}
-	for j := range invStd {
-		invStd[j] = 1 / math.Sqrt(invStd[j]/float64(n)+bn.Eps)
-	}
-	out := mat.New(n, d)
-	grow := bn.Gamma.Row(0)
-	brow := bn.Beta.Row(0)
-	for i := 0; i < n; i++ {
-		xrow := x.Row(i)
-		orow := out.Row(i)
-		for j, v := range xrow {
-			orow[j] = (v+(-mean[j]))*invStd[j]*grow[j] + brow[j]
-		}
-	}
-	return out
 }

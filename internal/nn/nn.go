@@ -156,7 +156,7 @@ func (l *Linear) Apply(t *ag.Tape, x *ag.Node) *ag.Node {
 	return t.AddBias(t.MatMul(x, t.Param(l.W)), t.Param(l.B))
 }
 
-// Forward is the tape-free inference path: same kernels and operation
+// Forward runs the layer on a plain matrix: same kernels and operation
 // order as Apply (bitwise identical values), no graph nodes.
 func (l *Linear) Forward(x *mat.Dense) *mat.Dense {
 	out := mat.MatMul(x, l.W)
@@ -170,25 +170,17 @@ type MLP struct {
 	Layers []*Linear
 	Act    Activation
 	OutAct Activation
-	Norms  []*BatchNorm // optional, one per hidden layer when UseNorm
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes =
-// [in, hidden, out]. When useNorm is true a BatchNorm follows every
-// hidden linear layer (the paper's DDIGCN applies BatchNorm+ReLU after
-// each graph convolution).
-func NewMLP(rng *rand.Rand, ps *Params, sizes []int, act Activation, useNorm bool) *MLP {
+// [in, hidden, out].
+func NewMLP(rng *rand.Rand, ps *Params, sizes []int, act Activation) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least [in, out] sizes")
 	}
 	m := &MLP{Act: act, OutAct: ActNone}
 	for i := 0; i+1 < len(sizes); i++ {
 		m.Layers = append(m.Layers, NewLinear(rng, ps, sizes[i], sizes[i+1]))
-		if useNorm && i+2 < len(sizes) {
-			m.Norms = append(m.Norms, NewBatchNorm(ps, sizes[i+1]))
-		} else {
-			m.Norms = append(m.Norms, nil)
-		}
 	}
 	return m
 }
@@ -198,11 +190,7 @@ func (m *MLP) Apply(t *ag.Tape, x *ag.Node) *ag.Node {
 	h := x
 	for i, l := range m.Layers {
 		h = l.Apply(t, h)
-		last := i == len(m.Layers)-1
-		if !last {
-			if m.Norms[i] != nil {
-				h = m.Norms[i].Apply(t, h)
-			}
+		if i < len(m.Layers)-1 {
 			h = applyActivation(t, h, m.Act)
 		} else {
 			h = applyActivation(t, h, m.OutAct)
@@ -211,17 +199,15 @@ func (m *MLP) Apply(t *ag.Tape, x *ag.Node) *ag.Node {
 	return h
 }
 
-// Forward is the tape-free inference path of the MLP: bitwise identical
-// to Apply's values, no graph nodes or backward machinery.
+// Forward runs the MLP on a plain matrix: bitwise identical to Apply's
+// values, no graph nodes or backward machinery. It serves encoders
+// that run on request paths (MD's patient encoder and inductive
+// inputs) and is the batched reference of ForwardRow and PairDecoder.
 func (m *MLP) Forward(x *mat.Dense) *mat.Dense {
 	h := x
 	for i, l := range m.Layers {
 		h = l.Forward(h)
-		last := i == len(m.Layers)-1
-		if !last {
-			if m.Norms[i] != nil {
-				h = m.Norms[i].Forward(h)
-			}
+		if i < len(m.Layers)-1 {
 			h = ForwardActivation(h, m.Act)
 		} else {
 			h = ForwardActivation(h, m.OutAct)
@@ -253,14 +239,10 @@ func (m *MLP) InDim() int { return m.Layers[0].W.Rows() }
 // ping-pong scratch of at least MaxWidth. Values are bitwise
 // identical to the corresponding row of Forward — every step uses the
 // same element formulas and the same per-row accumulation order as
-// the batched kernels. BatchNorm MLPs are not row-decomposable and
-// panic.
+// the batched kernels.
 func (m *MLP) ForwardRow(dst, x, buf1, buf2 []float64) {
 	cur := x
 	for i, l := range m.Layers {
-		if m.Norms[i] != nil {
-			panic("nn: ForwardRow does not support BatchNorm layers")
-		}
 		last := i == len(m.Layers)-1
 		var out []float64
 		switch {

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"dssddi/internal/ag"
@@ -38,7 +37,7 @@ func TestLinearShapes(t *testing.T) {
 func TestMLPForwardShapes(t *testing.T) {
 	var ps Params
 	rng := rand.New(rand.NewSource(3))
-	m := NewMLP(rng, &ps, []int{4, 8, 8, 2}, ActReLU, true)
+	m := NewMLP(rng, &ps, []int{4, 8, 8, 2}, ActReLU)
 	tape := ag.NewTape()
 	x := tape.Const(mat.RandNormal(rng, 5, 4, 1))
 	y := m.Apply(tape, x)
@@ -52,7 +51,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 	// linear model cannot. Exercises the full tape/optim stack.
 	rng := rand.New(rand.NewSource(4))
 	var ps Params
-	m := NewMLP(rng, &ps, []int{2, 8, 1}, ActTanh, false)
+	m := NewMLP(rng, &ps, []int{2, 8, 1}, ActTanh)
 	x := mat.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
 	y := mat.FromRows([][]float64{{0}, {1}, {1}, {0}})
 	opt := optim.NewAdam(0.05)
@@ -201,33 +200,4 @@ func TestGRULearnsSequenceSignal(t *testing.T) {
 	if loss > 0.2 {
 		t.Fatalf("GRU failed to learn first-step signal, loss %v", loss)
 	}
-}
-
-func TestBatchNormForwardConcurrent(t *testing.T) {
-	var ps Params
-	bn := NewBatchNorm(&ps, 6)
-	rng := rand.New(rand.NewSource(17))
-	x := mat.RandNormal(rng, 12, 6, 1)
-	want := bn.Forward(x)
-
-	// Forward keeps its statistics call-local, so concurrent inference
-	// over the same layer must be race-free and deterministic (run
-	// under -race in CI).
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				got := bn.Forward(x)
-				for i, v := range got.Data() {
-					if v != want.Data()[i] {
-						t.Errorf("concurrent Forward diverged at %d: %v != %v", i, v, want.Data()[i])
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

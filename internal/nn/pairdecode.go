@@ -36,17 +36,11 @@ type PairDecoder[T mat.Float] struct {
 }
 
 // NewPairDecoder builds the fused float64 kernel for a decoder MLP. It
-// supports the MD decoder shape — exactly two plain linear layers (no
-// BatchNorm) ending in a scalar — and reports ok=false for anything
-// else.
+// supports the MD decoder shape — exactly two linear layers ending in
+// a scalar — and reports ok=false for anything else.
 func NewPairDecoder(m *MLP) (*PairDecoder[float64], bool) {
 	if m == nil || len(m.Layers) != 2 {
 		return nil, false
-	}
-	for _, bn := range m.Norms {
-		if bn != nil {
-			return nil, false
-		}
 	}
 	l1, l2 := m.Layers[0], m.Layers[1]
 	if l2.W.Cols() != 1 || l1.W.Rows() < 2 || l1.W.Cols() != l2.W.Rows() {

@@ -26,7 +26,7 @@ func testPairDecoder32(t *testing.T, act Activation, d int) {
 	rng := rand.New(rand.NewSource(5))
 	const h, pairs = 16, 200
 	var ps Params
-	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
+	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act)
 	pd, ok := NewPairDecoder(mlp)
 	if !ok {
 		t.Fatal("decoder-shaped MLP rejected")
@@ -88,7 +88,7 @@ func TestPairDecoder32Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const d, h = 12, 8
 	var ps Params
-	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, ActLeakyReLU, false)
+	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, ActLeakyReLU)
 	pd, _ := NewPairDecoder(mlp)
 	p1, p2 := NewPairDecoder32(pd), NewPairDecoder32(pd)
 	a := mat.Floats32(mat.RandNormal(rng, 1, d, 1).Row(0))

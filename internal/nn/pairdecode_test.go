@@ -33,7 +33,7 @@ func testPairDecoderForward(t *testing.T, workers int, act Activation, d int) {
 	rng := rand.New(rand.NewSource(5))
 	const h, pairs = 16, 37
 	var ps Params
-	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act, false)
+	mlp := NewMLP(rng, &ps, []int{d + 1, h, 1}, act)
 	pd, ok := NewPairDecoder(mlp)
 	if !ok {
 		t.Fatal("decoder-shaped MLP rejected")
@@ -116,17 +116,13 @@ func TestPairDecodersScalarPath(t *testing.T) {
 func TestPairDecoderRejectsUnsupportedShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var ps Params
-	three := NewMLP(rng, &ps, []int{8, 8, 8, 1}, ActReLU, false)
+	three := NewMLP(rng, &ps, []int{8, 8, 8, 1}, ActReLU)
 	if _, ok := NewPairDecoder(three); ok {
 		t.Fatal("3-layer MLP must be rejected")
 	}
-	wide := NewMLP(rng, &ps, []int{8, 8, 2}, ActReLU, false)
+	wide := NewMLP(rng, &ps, []int{8, 8, 2}, ActReLU)
 	if _, ok := NewPairDecoder(wide); ok {
 		t.Fatal("non-scalar output must be rejected")
-	}
-	normed := NewMLP(rng, &ps, []int{8, 8, 1}, ActReLU, true)
-	if _, ok := NewPairDecoder(normed); ok {
-		t.Fatal("BatchNorm MLP must be rejected")
 	}
 	if _, ok := NewPairDecoder(nil); ok {
 		t.Fatal("nil MLP must be rejected")
@@ -139,7 +135,7 @@ func TestForwardRowMatchesForward(t *testing.T) {
 	for _, sizes := range [][]int{{7, 5, 3}, {9, 16, 16, 4}, {6, 2}} {
 		rng := rand.New(rand.NewSource(8))
 		var ps Params
-		mlp := NewMLP(rng, &ps, sizes, ActLeakyReLU, false)
+		mlp := NewMLP(rng, &ps, sizes, ActLeakyReLU)
 		mlp.OutAct = ActLeakyReLU
 		x := mat.RandNormal(rng, 13, sizes[0], 1)
 		want := mlp.Forward(x)

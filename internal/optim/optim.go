@@ -1,7 +1,7 @@
-// Package optim provides the optimizers used for model training: Adam
-// (the paper's choice) and plain SGD, plus global-norm gradient
-// clipping. Optimizers step a fixed list of parameter matrices; the
-// matching gradient list comes from the autodiff tape.
+// Package optim provides the optimizer used for model training, Adam
+// (the paper's choice), plus global-norm gradient clipping. The
+// optimizer steps a fixed list of parameter matrices; the matching
+// gradient list comes from the autodiff tape.
 package optim
 
 import (
@@ -69,47 +69,6 @@ func (a *Adam) Step(params, grads []*mat.Dense) {
 			mhat := md[k] / bc1
 			vhat := vd[k] / bc2
 			pd[k] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
-		}
-	}
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel []*mat.Dense
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step applies one SGD update in place.
-func (s *SGD) Step(params, grads []*mat.Dense) {
-	if len(params) != len(grads) {
-		panic(fmt.Sprintf("optim: %d params but %d grads", len(params), len(grads)))
-	}
-	if s.Momentum > 0 && s.vel == nil {
-		s.vel = make([]*mat.Dense, len(params))
-		for i, p := range params {
-			s.vel[i] = mat.New(p.Rows(), p.Cols())
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		if g == nil {
-			continue
-		}
-		if s.Momentum > 0 {
-			vd, gd, pd := s.vel[i].Data(), g.Data(), p.Data()
-			for k := range pd {
-				vd[k] = s.Momentum*vd[k] + gd[k]
-				pd[k] -= s.LR * vd[k]
-			}
-		} else {
-			p.AddScaled(g, -s.LR)
 		}
 	}
 }

@@ -28,20 +28,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	x := mat.FromRows([][]float64{{5, -3}})
-	target := mat.FromRows([][]float64{{1, 1}})
-	opt := NewSGD(0.1, 0.9)
-	for i := 0; i < 300; i++ {
-		opt.Step([]*mat.Dense{x}, []*mat.Dense{quadGrad(x, target)})
-	}
-	for i, v := range x.Data() {
-		if math.Abs(v-target.Data()[i]) > 1e-3 {
-			t.Fatalf("SGD did not converge: x=%v", x)
-		}
-	}
-}
-
 func TestNilGradSkipsParam(t *testing.T) {
 	x := mat.FromRows([][]float64{{3}})
 	y := mat.FromRows([][]float64{{4}})

@@ -9,38 +9,6 @@ type Edge struct {
 	Weight float64
 }
 
-// SymNormAdjacency builds the symmetrically normalised adjacency matrix
-// D^{-1/2} A D^{-1/2} of an undirected graph on n nodes, the propagation
-// operator used by LightGCN/MDGCN (Eq. 11-12 of the paper). Weights are
-// taken as |Weight| for degree purposes; self-loops are not added.
-func SymNormAdjacency(n int, edges []Edge) *CSR {
-	deg := make([]float64, n)
-	for _, e := range edges {
-		w := math.Abs(e.Weight)
-		if w == 0 {
-			w = 1
-		}
-		deg[e.U] += w
-		deg[e.V] += w
-	}
-	inv := make([]float64, n)
-	for i, d := range deg {
-		if d > 0 {
-			inv[i] = 1 / math.Sqrt(d)
-		}
-	}
-	b := NewBuilder(n, n)
-	for _, e := range edges {
-		w := e.Weight
-		if w == 0 {
-			w = 1
-		}
-		b.Add(e.U, e.V, w*inv[e.U]*inv[e.V])
-		b.Add(e.V, e.U, w*inv[e.U]*inv[e.V])
-	}
-	return b.Build()
-}
-
 // MeanAdjacency builds the row-normalised (mean-aggregator) adjacency
 // matrix of an undirected graph: entry (u,v) = w/deg(u). This is the
 // neighbourhood-mean operator used by the paper's GIN variant (Eq. 1).

@@ -107,32 +107,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestSymNormAdjacency(t *testing.T) {
-	// Path graph 0-1-2: deg = [1,2,1].
-	a := SymNormAdjacency(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	want01 := 1 / math.Sqrt(1*2)
-	if math.Abs(a.At(0, 1)-want01) > 1e-12 || math.Abs(a.At(1, 0)-want01) > 1e-12 {
-		t.Fatalf("norm adj wrong: %v", a.At(0, 1))
-	}
-	if a.At(0, 0) != 0 {
-		t.Fatal("no self loops expected")
-	}
-	// Symmetry.
-	if math.Abs(a.At(1, 2)-a.At(2, 1)) > 1e-12 {
-		t.Fatal("should be symmetric")
-	}
-}
-
-func TestSymNormAdjacencyIsolatedNode(t *testing.T) {
-	a := SymNormAdjacency(3, []Edge{{U: 0, V: 1}})
-	// Node 2 is isolated; its row must be all zero and no NaNs anywhere.
-	for j := 0; j < 3; j++ {
-		if v := a.At(2, j); v != 0 || math.IsNaN(v) {
-			t.Fatalf("isolated node row must be 0, got %v", v)
-		}
-	}
-}
-
 func TestMeanAdjacencyRowsSumToOne(t *testing.T) {
 	edges := []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}}
 	a := MeanAdjacency(3, edges)

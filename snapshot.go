@@ -296,8 +296,14 @@ func readDataset(d *snapshot.Decoder) *dataset.Dataset {
 	if d.Err() != nil {
 		return ds
 	}
-	if n < 0 || len(u) != len(v) || len(u) != len(signs) {
-		d.Fail(fmt.Errorf("dssddi: corrupt DDI edge list (%d nodes, %d/%d/%d edge columns)", n, len(u), len(v), len(signs)))
+	if ds.Y == nil {
+		d.Fail(fmt.Errorf("dssddi: corrupt dataset: no label matrix"))
+		return ds
+	}
+	// The graph is sized by n before the checksum is verified, so n
+	// must be the drug count before anything is allocated.
+	if n != ds.Y.Cols() || len(u) != len(v) || len(u) != len(signs) {
+		d.Fail(fmt.Errorf("dssddi: corrupt DDI edge list (%d nodes for %d drugs, %d/%d/%d edge columns)", n, ds.Y.Cols(), len(u), len(v), len(signs)))
 		return ds
 	}
 	g := graph.NewSigned(n)
@@ -407,17 +413,8 @@ func readMDState(d *snapshot.Decoder, ds *dataset.Dataset) md.ServingState {
 	return st
 }
 
-// writeMLP serializes an MLP's layer weights and activations. The
-// MLPs in the MD module never use BatchNorm; format version 1 encodes
-// that assumption and Save refuses anything else rather than silently
-// dropping state.
+// writeMLP serializes an MLP's layer weights and activations.
 func writeMLP(e *snapshot.Encoder, m *nn.MLP) {
-	for _, bn := range m.Norms {
-		if bn != nil {
-			e.Fail(fmt.Errorf("dssddi: snapshot v1 cannot serialize BatchNorm layers"))
-			return
-		}
-	}
 	e.Int(len(m.Layers))
 	for _, l := range m.Layers {
 		writeLinear(e, l)
@@ -435,7 +432,7 @@ func readMLP(d *snapshot.Decoder) *nn.MLP {
 		d.Fail(fmt.Errorf("dssddi: corrupt MLP layer count %d", n))
 		return nil
 	}
-	m := &nn.MLP{Layers: make([]*nn.Linear, n), Norms: make([]*nn.BatchNorm, n)}
+	m := &nn.MLP{Layers: make([]*nn.Linear, n)}
 	for i := range m.Layers {
 		m.Layers[i] = readLinear(d)
 	}
