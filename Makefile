@@ -40,13 +40,14 @@ lint:
 
 # The fuzz targets CI runs: the Prometheus exposition round trip, the
 # consistent-hash ring, the router's routing rule, the registry's WAL
-# record codec, the snapshot decoder, the snapshot loader and the
-# registry merge.
+# record codec, the serve request bodies, the snapshot decoder, the
+# snapshot loader and the registry merge.
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzWriteProm -fuzztime 20s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRing -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRouteKey -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRegistryRecord -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzHandler -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecoder -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/regproto -run '^$$' -fuzz FuzzMerge -fuzztime 10s -fuzzminimizetime 100x

@@ -316,6 +316,18 @@ func (s *System) ensureTrained() error {
 	return nil
 }
 
+// checkPatients rejects the first patient index outside the system's
+// data. Every method that takes patient indices checks them here
+// before they reach the scoring engine.
+func (s *System) checkPatients(patients ...int) error {
+	for _, p := range patients {
+		if p < 0 || p >= s.data.NumPatients() {
+			return fmt.Errorf("dssddi: patient %d out of range %d", p, s.data.NumPatients())
+		}
+	}
+	return nil
+}
+
 // SetPrecision switches the serving-side numeric representation of the
 // frozen MD model: "f64" (the default and the accuracy oracle) or
 // "f32" (float32 copies of the frozen state on the f32 SIMD kernels,
@@ -371,8 +383,8 @@ func (s *System) Suggest(patient, k int) ([]Suggestion, error) {
 	if err := s.ensureTrained(); err != nil {
 		return nil, err
 	}
-	if patient < 0 || patient >= s.data.NumPatients() {
-		return nil, fmt.Errorf("dssddi: patient %d out of range %d", patient, s.data.NumPatients())
+	if err := s.checkPatients(patient); err != nil {
+		return nil, err
 	}
 	ids, scores := s.mdModel.TopKScores(patient, k)
 	out := make([]Suggestion, len(ids))
@@ -386,6 +398,9 @@ func (s *System) Suggest(patient, k int) ([]Suggestion, error) {
 // column per drug).
 func (s *System) Scores(patients []int) ([][]float64, error) {
 	if err := s.ensureTrained(); err != nil {
+		return nil, err
+	}
+	if err := s.checkPatients(patients...); err != nil {
 		return nil, err
 	}
 	// Scores materialises a fresh matrix owned by this call, so the
@@ -417,10 +432,8 @@ func (s *System) ScoresInto(rows [][]float64, patients []int) error {
 			return fmt.Errorf("dssddi: ScoresInto row %d has length %d, want %d", i, len(r), s.data.NumDrugs())
 		}
 	}
-	for _, p := range patients {
-		if p < 0 || p >= s.data.NumPatients() {
-			return fmt.Errorf("dssddi: patient %d out of range %d", p, s.data.NumPatients())
-		}
+	if err := s.checkPatients(patients...); err != nil {
+		return err
 	}
 	s.mdModel.ScoresRowsInto(rows, patients)
 	return nil
@@ -639,6 +652,9 @@ type Metrics struct {
 // batched path's O(patients·drugs·dim) pair intermediates are gone.
 func (s *System) Evaluate(patients []int, ks []int) ([]Metrics, error) {
 	if err := s.ensureTrained(); err != nil {
+		return nil, err
+	}
+	if err := s.checkPatients(patients...); err != nil {
 		return nil, err
 	}
 	scores := s.mdModel.Scores(patients)

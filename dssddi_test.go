@@ -1,6 +1,8 @@
 package dssddi
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -227,5 +229,36 @@ func TestSuggestOutOfRange(t *testing.T) {
 	sys, data := trainedSystem(t)
 	if _, err := sys.Suggest(data.NumPatients()+5, 3); err == nil {
 		t.Fatal("out-of-range patient must error")
+	}
+}
+
+// TestPatientIndicesOutOfRange pins the one range check of the methods
+// that take patient indices. Scores and Evaluate used to pass them
+// straight to the scoring engine: an index past the data panicked in a
+// pool worker, which kills the process, and a negative one panicked on
+// the caller's goroutine.
+func TestPatientIndicesOutOfRange(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := Load(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]float64{make([]float64, sys.data.NumDrugs()), make([]float64, sys.data.NumDrugs())}
+	for _, p := range []int{sys.data.NumPatients(), -1} {
+		if _, err := sys.Scores([]int{0, p}); err == nil {
+			t.Fatalf("Scores accepted patient %d", p)
+		}
+		if _, err := sys.Evaluate([]int{0, p}, []int{4}); err == nil {
+			t.Fatalf("Evaluate accepted patient %d", p)
+		}
+		if err := sys.ScoresInto(rows, []int{0, p}); err == nil {
+			t.Fatalf("ScoresInto accepted patient %d", p)
+		}
+		if _, err := sys.Suggest(p, 4); err == nil {
+			t.Fatalf("Suggest accepted patient %d", p)
+		}
 	}
 }

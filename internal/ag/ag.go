@@ -65,7 +65,6 @@ const (
 	opAddBias
 	opHadamard
 	opScale
-	opAddScalar
 	opReLU
 	opLeakyReLU
 	opTanh
@@ -78,8 +77,6 @@ const (
 	opSum
 	opMSE
 	opBCE
-	opWBCE
-	opL2
 )
 
 // Node is a value in the computation graph together with its gradient.
@@ -101,7 +98,7 @@ type Node struct {
 	bwdChunk  par.FuncWorker
 	bwdChunk2 par.FuncWorker
 
-	// Element-wise forward/derivative (activations, AddScalar).
+	// Element-wise forward/derivative (activations).
 	fwd func(float64) float64
 	dfn func(float64) float64
 	zf  func(x, od float64) float64
@@ -111,7 +108,6 @@ type Node struct {
 	idx     []int
 	scalar  float64
 	ref     *mat.Dense
-	ref2    *mat.Dense
 	sp      *sparse.CSR
 	spT     *sparse.CSR // transpose cached once per operator (not per epoch)
 	scratch [2]*mat.Dense
@@ -459,18 +455,6 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 		}
 	}
 	mat.ScaleInto(out.Value, a.Value, s)
-	return out
-}
-
-// AddScalar returns a + s element-wise for a constant scalar s.
-func (t *Tape) AddScalar(a *Node, s float64) *Node {
-	out, reused := t.next(opAddScalar, a, nil, a.Rows(), a.Cols(), a.requires)
-	out.scalar = s
-	if !reused {
-		out.fwd = func(x float64) float64 { return x + out.scalar }
-		out.backward = func() { a.accumGrad(out.Grad) }
-	}
-	mat.ApplyInto(out.Value, a.Value, out.fwd)
 	return out
 }
 

@@ -192,32 +192,6 @@ func TestGradBCEWithLogits(t *testing.T) {
 	})
 }
 
-func TestGradWeightedBCE(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	logits := mat.RandNormal(rng, 4, 3, 2)
-	target := mat.New(4, 3)
-	weight := mat.New(4, 3)
-	for i := range target.Data() {
-		if rng.Float64() < 0.5 {
-			target.Data()[i] = 1
-		}
-		if rng.Float64() < 0.7 {
-			weight.Data()[i] = 1 + rng.Float64()
-		}
-	}
-	gradCheck(t, logits, func(tp *Tape, p *Node) *Node {
-		return tp.WeightedBCEWithLogits(p, target, weight)
-	})
-}
-
-func TestGradL2Penalty(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	w := mat.RandNormal(rng, 3, 3, 1)
-	gradCheck(t, w, func(tp *Tape, p *Node) *Node {
-		return tp.L2Penalty(p, 0.1)
-	})
-}
-
 func TestGradCompositeMLP(t *testing.T) {
 	// Two-layer MLP end-to-end: y = sigmoid(relu(X*W1+b1)*W2), BCE loss.
 	rng := rand.New(rand.NewSource(13))

@@ -78,78 +78,3 @@ func (t *Tape) BCEWithLogits(logits *Node, target *mat.Dense) *Node {
 	out.Value.Set(0, 0, sum/float64(len(xd)))
 	return out
 }
-
-// WeightedBCEWithLogits is BCEWithLogits with a per-element weight
-// matrix; elements with weight 0 do not contribute. The normaliser is
-// the sum of weights (so it is a weighted mean).
-func (t *Tape) WeightedBCEWithLogits(logits *Node, target, weight *mat.Dense) *Node {
-	if logits.Rows() != target.Rows() || logits.Cols() != target.Cols() ||
-		logits.Rows() != weight.Rows() || logits.Cols() != weight.Cols() {
-		panic("ag: WeightedBCEWithLogits shape mismatch")
-	}
-	out, reused := t.next(opWBCE, logits, nil, 1, 1, logits.requires)
-	out.ref, out.ref2 = target, weight
-	if !reused {
-		out.backward = func() {
-			if !logits.requires {
-				return
-			}
-			g := out.scratchMat(0, logits.Rows(), logits.Cols())
-			gd := g.Data()
-			xd, yd, wd := logits.Value.Data(), out.ref.Data(), out.ref2.Data()
-			wsum := out.ref2.SumAll()
-			if wsum <= 0 {
-				wsum = 1
-			}
-			scale := out.Grad.At(0, 0) / wsum
-			for i, x := range xd {
-				if wd[i] == 0 {
-					gd[i] = 0
-					continue
-				}
-				gd[i] = scale * wd[i] * (mat.Sigmoid(x) - yd[i])
-			}
-			logits.accumGrad(g)
-		}
-	}
-	wsum := weight.SumAll()
-	if wsum <= 0 {
-		wsum = 1
-	}
-	var sum float64
-	xd, yd, wd := logits.Value.Data(), target.Data(), weight.Data()
-	for i, x := range xd {
-		w := wd[i]
-		if w == 0 {
-			continue
-		}
-		y := yd[i]
-		sum += w * (math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x))))
-	}
-	out.Value.Set(0, 0, sum/wsum)
-	return out
-}
-
-// L2Penalty returns 0.5*λ*‖a‖² as a scalar node, for weight decay folded
-// into the loss.
-func (t *Tape) L2Penalty(a *Node, lambda float64) *Node {
-	out, reused := t.next(opL2, a, nil, 1, 1, a.requires)
-	out.scalar = lambda
-	if !reused {
-		out.backward = func() {
-			if !a.requires {
-				return
-			}
-			g := out.scratchMat(0, a.Rows(), a.Cols())
-			g.CopyFrom(a.Value)
-			g.Scale(out.scalar * out.Grad.At(0, 0))
-			a.accumGrad(g)
-		}
-	}
-	var sum float64
-	for _, x := range a.Value.Data() {
-		sum += x * x
-	}
-	out.Value.Set(0, 0, 0.5*lambda*sum)
-	return out
-}

@@ -9,94 +9,37 @@ import (
 	"dssddi/internal/nn"
 	"dssddi/internal/optim"
 	"dssddi/internal/par"
-	"dssddi/internal/sparse"
 )
 
 // gnnBase carries the plumbing shared by the bipartite GNN baselines:
-// feature matrices, propagation operators over the observed graph, the
-// per-epoch negative-sampled training pairs and the Adam loop.
+// the observed training view and its 1:1 pair sampler.
 type gnnBase struct {
-	d        *dataset.Dataset
-	trainX   *mat.Dense
-	trainY   *mat.Dense
-	drugFeat *mat.Dense
-	l2r, r2l *sparse.CSR
-	posP     []int
-	posV     []int
-	rng      *rand.Rand
-	params   nn.Params
-
-	// Reused per-epoch pair buffers (samplePairs refills in place).
-	pairP, pairV []int
-	pairY        *mat.Dense
+	d      *dataset.Dataset
+	obs    dataset.Observed
+	pairs  *dataset.Pairs
+	rng    *rand.Rand
+	params nn.Params
 }
 
 func (g *gnnBase) prepare(d *dataset.Dataset, seed int64) {
 	g.d = d
 	g.rng = rand.New(rand.NewSource(seed))
-	g.trainX = d.Rows(d.Train)
-	g.trainY = d.Labels(d.Train)
-	g.drugFeat = d.DrugFeatures
-	if g.drugFeat == nil {
-		g.drugFeat = mat.OneHot(d.NumDrugs())
-	}
-	g.l2r, g.r2l = sparse.BipartiteNorm(len(d.Train), d.NumDrugs(), d.ObservedBipartite().Links())
-	for p := 0; p < g.trainY.Rows(); p++ {
-		for v := 0; v < g.trainY.Cols(); v++ {
-			if g.trainY.At(p, v) == 1 {
-				g.posP = append(g.posP, p)
-				g.posV = append(g.posV, v)
-			}
-		}
-	}
+	g.obs = d.Observed()
+	g.pairs = dataset.NewPairs(g.obs.Y)
 }
 
-// samplePairs draws this epoch's 1:1 positive/negative pairs into the
-// reused pair buffers (no per-epoch allocation).
-func (g *gnnBase) samplePairs() (ps, vs []int, y *mat.Dense) {
-	nD := g.trainY.Cols()
-	total := 2 * len(g.posP)
-	if cap(g.pairP) < total {
-		g.pairP = make([]int, 0, total)
-		g.pairV = make([]int, 0, total)
-		g.pairY = mat.New(total, 1)
-	}
-	ps, vs = g.pairP[:0], g.pairV[:0]
-	yd := g.pairY.Data()
-	for i := range g.posP {
-		p := g.posP[i]
-		ps = append(ps, p)
-		vs = append(vs, g.posV[i])
-		yd[len(ps)-1] = 1
-		for {
-			neg := g.rng.Intn(nD)
-			if g.trainY.At(p, neg) != 1 {
-				ps = append(ps, p)
-				vs = append(vs, neg)
-				yd[len(ps)-1] = 0
-				break
-			}
-		}
-	}
-	g.pairP, g.pairV = ps, vs
-	return ps, vs, g.pairY
-}
-
-// trainLoop runs Adam over a forward closure producing the loss. One
-// retained tape is reset and replayed per epoch, so steady-state
-// epochs reuse the previous epoch's graph and buffers.
-func (g *gnnBase) trainLoop(epochs int, lr, weightDecay float64, forward func(t *ag.Tape) *ag.Node) {
+// train runs Adam over a forward closure producing the loss, one
+// nn.Step per epoch. One retained tape is reset and replayed per
+// epoch, so steady-state epochs reuse the previous epoch's graph and
+// buffers.
+func train(ps *nn.Params, epochs int, lr, weightDecay float64, forward func(t *ag.Tape) *ag.Node) {
 	opt := optim.NewAdam(lr)
 	opt.WeightDecay = weightDecay
 	tape := ag.NewTape()
-	grads := make([]*mat.Dense, len(g.params.All()))
+	grads := make([]*mat.Dense, len(ps.All()))
 	for e := 0; e < epochs; e++ {
 		tape.Reset()
-		loss := forward(tape)
-		tape.Backward(loss)
-		nn.CollectGradsInto(grads, tape, &g.params)
-		optim.ClipGlobalNorm(grads, 5)
-		opt.Step(g.params.All(), grads)
+		nn.Step(tape, forward(tape), ps, grads, opt)
 	}
 }
 
@@ -139,8 +82,8 @@ func (l *LightGCN) encode(t *ag.Tape) (*ag.Node, *ag.Node) {
 	pSum, dSum := p0, d0
 	pT, dT := p0, d0
 	for layer := 1; layer <= l.Layers; layer++ {
-		pNext := t.SpMM(l.l2r, dT)
-		dNext := t.SpMM(l.r2l, pT)
+		pNext := t.SpMM(l.obs.L2R, dT)
+		dNext := t.SpMM(l.obs.R2L, pT)
 		pT, dT = pNext, dNext
 		pSum = t.Add(pSum, pT)
 		dSum = t.Add(dSum, dT)
@@ -155,8 +98,8 @@ func (l *LightGCN) Fit(d *dataset.Dataset) {
 	rng := rand.New(rand.NewSource(l.Seed))
 	l.patEmb = nn.NewEmbedding(rng, &l.params, len(d.Train), l.Hidden)
 	l.drugEmb = nn.NewEmbedding(rng, &l.params, d.NumDrugs(), l.Hidden)
-	l.trainLoop(l.Epochs, l.LR, l.WeightDecay, func(t *ag.Tape) *ag.Node {
-		ps, vs, y := l.samplePairs()
+	train(&l.params, l.Epochs, l.LR, l.WeightDecay, func(t *ag.Tape) *ag.Node {
+		ps, vs, y := l.pairs.Sample(l.rng)
 		hp, hd := l.encode(t)
 		logits := t.RowDot(t.GatherRows(hp, ps), t.GatherRows(hd, vs))
 		return t.BCEWithLogits(logits, y)
@@ -263,11 +206,11 @@ func NewGCMC() *GCMC {
 func (g *GCMC) Name() string { return "GCMC" }
 
 func (g *GCMC) encode(t *ag.Tape) (*ag.Node, *ag.Node) {
-	p0 := t.ReLU(g.patFC.Apply(t, t.Const(g.trainX)))
-	d0 := t.ReLU(g.drugFC.Apply(t, t.Const(g.drugFeat)))
+	p0 := t.ReLU(g.patFC.Apply(t, t.Const(g.obs.X)))
+	d0 := t.ReLU(g.drugFC.Apply(t, t.Const(g.obs.DrugFeat)))
 	// One graph-convolution layer per direction with transform+ReLU.
-	p1 := t.ReLU(g.convP.Apply(t, t.SpMM(g.l2r, d0)))
-	d1 := t.ReLU(g.convD.Apply(t, t.SpMM(g.r2l, p0)))
+	p1 := t.ReLU(g.convP.Apply(t, t.SpMM(g.obs.L2R, d0)))
+	d1 := t.ReLU(g.convD.Apply(t, t.SpMM(g.obs.R2L, p0)))
 	return t.Add(p0, p1), t.Add(d0, d1)
 }
 
@@ -276,12 +219,12 @@ func (g *GCMC) Fit(d *dataset.Dataset) {
 	g.prepare(d, g.Seed)
 	rng := rand.New(rand.NewSource(g.Seed))
 	g.patFC = nn.NewLinear(rng, &g.params, d.X.Cols(), g.Hidden)
-	g.drugFC = nn.NewLinear(rng, &g.params, g.drugFeat.Cols(), g.Hidden)
+	g.drugFC = nn.NewLinear(rng, &g.params, g.obs.DrugFeat.Cols(), g.Hidden)
 	g.convP = nn.NewLinear(rng, &g.params, g.Hidden, g.Hidden)
 	g.convD = nn.NewLinear(rng, &g.params, g.Hidden, g.Hidden)
 	g.bilinear = g.params.Register(mat.GlorotUniform(rng, g.Hidden, g.Hidden))
-	g.trainLoop(g.Epochs, g.LR, g.WeightDecay, func(t *ag.Tape) *ag.Node {
-		ps, vs, y := g.samplePairs()
+	train(&g.params, g.Epochs, g.LR, g.WeightDecay, func(t *ag.Tape) *ag.Node {
+		ps, vs, y := g.pairs.Sample(g.rng)
 		hp, hd := g.encode(t)
 		// Bilinear decode: (h_p Q) · h_d.
 		hq := t.MatMul(t.GatherRows(hp, ps), t.Param(g.bilinear))
@@ -335,11 +278,11 @@ func NewBiparGCN() *BiparGCN {
 func (b *BiparGCN) Name() string { return "Bipar-GCN" }
 
 func (b *BiparGCN) encode(t *ag.Tape) (*ag.Node, *ag.Node) {
-	hp := t.ReLU(b.patFC.Apply(t, t.Const(b.trainX)))
-	hd := t.ReLU(b.drugFC.Apply(t, t.Const(b.drugFeat)))
+	hp := t.ReLU(b.patFC.Apply(t, t.Const(b.obs.X)))
+	hd := t.ReLU(b.drugFC.Apply(t, t.Const(b.obs.DrugFeat)))
 	for l := 0; l < b.Layers; l++ {
-		hpNext := t.ReLU(b.patConv[l].Apply(t, t.ConcatCols(hp, t.SpMM(b.l2r, hd))))
-		hdNext := t.ReLU(b.drugConv[l].Apply(t, t.ConcatCols(hd, t.SpMM(b.r2l, hp))))
+		hpNext := t.ReLU(b.patConv[l].Apply(t, t.ConcatCols(hp, t.SpMM(b.obs.L2R, hd))))
+		hdNext := t.ReLU(b.drugConv[l].Apply(t, t.ConcatCols(hd, t.SpMM(b.obs.R2L, hp))))
 		hp, hd = hpNext, hdNext
 	}
 	return hp, hd
@@ -350,13 +293,13 @@ func (b *BiparGCN) Fit(d *dataset.Dataset) {
 	b.prepare(d, b.Seed)
 	rng := rand.New(rand.NewSource(b.Seed))
 	b.patFC = nn.NewLinear(rng, &b.params, d.X.Cols(), b.Hidden)
-	b.drugFC = nn.NewLinear(rng, &b.params, b.drugFeat.Cols(), b.Hidden)
+	b.drugFC = nn.NewLinear(rng, &b.params, b.obs.DrugFeat.Cols(), b.Hidden)
 	for l := 0; l < b.Layers; l++ {
 		b.patConv = append(b.patConv, nn.NewLinear(rng, &b.params, 2*b.Hidden, b.Hidden))
 		b.drugConv = append(b.drugConv, nn.NewLinear(rng, &b.params, 2*b.Hidden, b.Hidden))
 	}
-	b.trainLoop(b.Epochs, b.LR, b.WeightDecay, func(t *ag.Tape) *ag.Node {
-		ps, vs, y := b.samplePairs()
+	train(&b.params, b.Epochs, b.LR, b.WeightDecay, func(t *ag.Tape) *ag.Node {
+		ps, vs, y := b.pairs.Sample(b.rng)
 		hp, hd := b.encode(t)
 		logits := t.RowDot(t.GatherRows(hp, ps), t.GatherRows(hd, vs))
 		return t.BCEWithLogits(logits, y)

@@ -8,7 +8,6 @@ import (
 	"dssddi/internal/graph"
 	"dssddi/internal/mat"
 	"dssddi/internal/nn"
-	"dssddi/internal/optim"
 )
 
 // SafeDrug is the safety-regularised multi-label model of Yang et al.
@@ -71,34 +70,25 @@ func (s *SafeDrug) Fit(d *dataset.Dataset) {
 		}
 	}
 	y := d.Labels(d.Train)
-	opt := optim.NewAdam(s.LR)
-	opt.WeightDecay = s.WeightDecay
-	for e := 0; e < s.Epochs; e++ {
-		t := ag.NewTape()
-		rep := s.encodePatients(t, d.Train)
-		logits := s.readout.Apply(t, rep)
+	var maskU, maskV *mat.Dense
+	if len(s.antU) > 0 && s.DDIWeight > 0 {
+		maskU, maskV = columnMask(nD, s.antU), columnMask(nD, s.antV)
+	}
+	train(&s.params, s.Epochs, s.LR, s.WeightDecay, func(t *ag.Tape) *ag.Node {
+		logits := s.readout.Apply(t, s.encodePatients(t, d.Train))
 		loss := t.BCEWithLogits(logits, y)
-		if len(s.antU) > 0 && s.DDIWeight > 0 {
-			// DDI penalty: mean over antagonistic pairs of p_u * p_v.
+		if maskU != nil {
+			// DDI penalty: mean over antagonistic pairs of p_u * p_v,
+			// the pair columns of the probabilities selected by
+			// multiplying with one-hot column masks.
 			probs := t.Sigmoid(logits)
-			// Gather columns via transpose-free trick: probs is
-			// (n x drugs); use per-pair column dot products through
-			// GatherRows on the transpose. Cheaper: build penalty from
-			// Hadamard of gathered columns — implemented by gathering
-			// rows of probsᵀ is not available on the tape, so compute
-			// with column masks instead.
-			maskU := columnMask(s.d.NumDrugs(), s.antU)
-			maskV := columnMask(s.d.NumDrugs(), s.antV)
 			pu := t.MatMul(probs, t.Const(maskU))
 			pv := t.MatMul(probs, t.Const(maskV))
 			pen := t.Mean(t.Hadamard(pu, pv))
 			loss = t.Add(loss, t.Scale(pen, s.DDIWeight))
 		}
-		t.Backward(loss)
-		grads := nn.CollectGrads(t, &s.params)
-		optim.ClipGlobalNorm(grads, 5)
-		opt.Step(s.params.All(), grads)
-	}
+		return loss
+	})
 }
 
 // columnMask builds a (drugs x len(cols)) selection matrix whose k-th
@@ -209,25 +199,16 @@ func (c *CauseRec) Fit(d *dataset.Dataset) {
 		c.mean[j] /= float64(x.Rows())
 	}
 
-	opt := optim.NewAdam(c.LR)
-	opt.WeightDecay = c.WeightDecay
-	for e := 0; e < c.Epochs; e++ {
+	train(&c.params, c.Epochs, c.LR, c.WeightDecay, func(t *ag.Tape) *ag.Node {
 		xcf := c.counterfactual(x)
-		t := ag.NewTape()
 		rep := c.encoder.Apply(t, t.Const(x))
-		logits := c.readout.Apply(t, rep)
-		loss := t.BCEWithLogits(logits, y)
+		loss := t.BCEWithLogits(c.readout.Apply(t, rep), y)
 		// Counterfactual consistency: out-of-interest replacements must
 		// not change the representation much.
-		repCF := c.encoder.Apply(t, t.Const(xcf))
-		diff := t.Sub(rep, repCF)
+		diff := t.Sub(rep, c.encoder.Apply(t, t.Const(xcf)))
 		consist := t.Mean(t.Hadamard(diff, diff))
-		loss = t.Add(loss, t.Scale(consist, c.ConsistW))
-		t.Backward(loss)
-		grads := nn.CollectGrads(t, &c.params)
-		optim.ClipGlobalNorm(grads, 5)
-		opt.Step(c.params.All(), grads)
-	}
+		return t.Add(loss, t.Scale(consist, c.ConsistW))
+	})
 }
 
 // counterfactual replaces a random ReplaceFrac of each row's features

@@ -15,6 +15,7 @@ import (
 
 	"dssddi/internal/graph"
 	"dssddi/internal/mat"
+	"dssddi/internal/sparse"
 	"dssddi/internal/synth"
 )
 
@@ -140,20 +141,6 @@ func FromMIMIC(rng *rand.Rand, m *synth.MIMIC) *Dataset {
 	}
 }
 
-// ObservedBipartite builds the patient-drug bipartite graph over the
-// TRAIN patients only, reindexed so row i corresponds to Train[i].
-func (d *Dataset) ObservedBipartite() *graph.Bipartite {
-	b := graph.NewBipartite(len(d.Train), d.NumDrugs())
-	for i, p := range d.Train {
-		for v := 0; v < d.NumDrugs(); v++ {
-			if d.Y.At(p, v) == 1 {
-				b.AddLink(i, v)
-			}
-		}
-	}
-	return b
-}
-
 // Rows gathers the feature rows for the given patient indices.
 func (d *Dataset) Rows(idx []int) *mat.Dense { return d.X.GatherRows(idx) }
 
@@ -171,31 +158,80 @@ func (d *Dataset) TruePositives(p int) []int {
 	return out
 }
 
-// NegativeSample draws, for each (patient, positive-drug) pair in rows,
-// one uniformly random drug the patient does NOT take (the paper's 1:1
-// negative sampling). It returns parallel slices of patient indices,
-// drug IDs and 0/1 targets covering both positives and negatives.
-func (d *Dataset) NegativeSample(rng *rand.Rand, patients []int) (ps, vs []int, ys []float64) {
-	m := d.NumDrugs()
-	for _, p := range patients {
-		for v := 0; v < m; v++ {
-			if d.Y.At(p, v) != 1 {
-				continue
-			}
-			ps = append(ps, p)
-			vs = append(vs, v)
-			ys = append(ys, 1)
-			// Matched negative.
-			for {
-				neg := rng.Intn(m)
-				if d.Y.At(p, neg) != 1 {
-					ps = append(ps, p)
-					vs = append(vs, neg)
-					ys = append(ys, 0)
-					break
-				}
+// Observed is the training view of a dataset, the one form every
+// graph model learns from: the observed (train) patients' feature rows
+// and labels, the drug input features and the normalised bipartite
+// propagation operators over their medication links. Row i of X and Y,
+// and patient i of the operators, is patient Train[i].
+type Observed struct {
+	X, Y *mat.Dense
+	// DrugFeat is the dataset's DrugFeatures, or one-hot drug IDs when
+	// it has none.
+	DrugFeat *mat.Dense
+	// L2R (patients x drugs) and R2L (drugs x patients) are
+	// sparse.BipartiteNorm over the train patients' links.
+	L2R, R2L *sparse.CSR
+}
+
+// Observed builds the training view over the train patients.
+func (d *Dataset) Observed() Observed {
+	o := Observed{X: d.Rows(d.Train), Y: d.Labels(d.Train), DrugFeat: d.DrugFeatures}
+	if o.DrugFeat == nil {
+		o.DrugFeat = mat.OneHot(d.NumDrugs())
+	}
+	links := make([][]int, len(d.Train))
+	for i, p := range d.Train {
+		links[i] = d.TruePositives(p)
+	}
+	o.L2R, o.R2L = sparse.BipartiteNorm(len(d.Train), d.NumDrugs(), links)
+	return o
+}
+
+// Pairs is the paper's 1:1 negative sampler over a binary label
+// matrix: each epoch, every positive (row, column) pair followed by one
+// uniformly drawn column the row does not take, fresh every Sample so
+// a decoder cannot memorise a fixed negative set.
+type Pairs struct {
+	y          *mat.Dense
+	posP, posV []int // positives in row-major order
+
+	// Retained sample buffers, refilled by every Sample.
+	p, v []int
+	t    *mat.Dense
+}
+
+// NewPairs indexes the positives of y.
+func NewPairs(y *mat.Dense) *Pairs {
+	s := &Pairs{y: y}
+	for p := 0; p < y.Rows(); p++ {
+		for v := 0; v < y.Cols(); v++ {
+			if y.At(p, v) == 1 {
+				s.posP = append(s.posP, p)
+				s.posV = append(s.posV, v)
 			}
 		}
 	}
-	return
+	n := 2 * len(s.posP)
+	s.p, s.v, s.t = make([]int, n), make([]int, n), mat.New(n, 1)
+	return s
+}
+
+// Len returns the number of pairs each Sample draws: two per positive.
+func (s *Pairs) Len() int { return len(s.p) }
+
+// Sample draws one epoch's pairs: row indices, column indices and the
+// (pairs x 1) 0/1 target column, each positive followed by its
+// rejection-sampled negative. The results are the sampler's retained
+// buffers, valid until the next Sample, so an epoch allocates nothing.
+func (s *Pairs) Sample(rng *rand.Rand) (ps, vs []int, y *mat.Dense) {
+	yd, cols := s.t.Data(), s.y.Cols()
+	for i, p := range s.posP {
+		neg := rng.Intn(cols)
+		for s.y.At(p, neg) == 1 {
+			neg = rng.Intn(cols)
+		}
+		s.p[2*i], s.v[2*i], yd[2*i] = p, s.posV[i], 1
+		s.p[2*i+1], s.v[2*i+1], yd[2*i+1] = p, neg, 0
+	}
+	return s.p, s.v, s.t
 }

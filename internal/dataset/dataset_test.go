@@ -83,48 +83,48 @@ func TestFromCohort(t *testing.T) {
 	}
 }
 
-func TestObservedBipartite(t *testing.T) {
+func TestObserved(t *testing.T) {
 	d := testDataset(t)
-	b := d.ObservedBipartite()
-	if b.Patients != len(d.Train) {
-		t.Fatal("bipartite patient count wrong")
+	o := d.Observed()
+	if o.X.Rows() != len(d.Train) || o.Y.Rows() != len(d.Train) {
+		t.Fatal("observed rows are not the train patients")
 	}
-	// Row i of the bipartite graph must match Y[Train[i]].
+	if o.DrugFeat.Rows() != d.NumDrugs() || o.DrugFeat.At(3, 3) != 1 || o.DrugFeat.At(3, 2) != 0 {
+		t.Fatal("a dataset without drug features must fall back to one-hot IDs")
+	}
+	if o.L2R.Rows() != len(d.Train) || o.R2L.Rows() != d.NumDrugs() {
+		t.Fatal("propagation operator shapes wrong")
+	}
+	// Patient i of the operators must link exactly Y[Train[i]].
 	for i, p := range d.Train {
-		for _, v := range b.DrugsOf(i) {
-			if d.Y.At(p, v) != 1 {
-				t.Fatalf("bipartite link (%d,%d) not in Y", i, v)
-			}
-		}
-		if len(b.DrugsOf(i)) != len(d.TruePositives(p)) {
+		truth := d.TruePositives(p)
+		if o.L2R.RowNNZ(i) != len(truth) {
 			t.Fatal("bipartite degree mismatch")
+		}
+		for _, v := range truth {
+			if o.L2R.At(i, v) == 0 || o.R2L.At(v, i) != o.L2R.At(i, v) {
+				t.Fatalf("link (%d,%d) missing or asymmetric", i, v)
+			}
 		}
 	}
 }
 
-func TestNegativeSampleBalanced(t *testing.T) {
+func TestPairsBalanced(t *testing.T) {
 	d := testDataset(t)
+	y := d.Labels(d.Train)
+	pairs := NewPairs(y)
 	rng := rand.New(rand.NewSource(5))
-	ps, vs, ys := d.NegativeSample(rng, d.Train)
-	if len(ps) != len(vs) || len(vs) != len(ys) {
-		t.Fatal("parallel slices length mismatch")
-	}
-	var pos, neg int
-	for i, y := range ys {
-		if y == 1 {
-			pos++
-			if d.Y.At(ps[i], vs[i]) != 1 {
-				t.Fatal("positive sample not in Y")
-			}
-		} else {
-			neg++
-			if d.Y.At(ps[i], vs[i]) == 1 {
-				t.Fatal("negative sample is actually positive")
+	for epoch := 0; epoch < 2; epoch++ {
+		ps, vs, ys := pairs.Sample(rng)
+		if len(ps) != len(vs) || len(vs) != ys.Rows() || len(ps) != 2*int(y.SumAll()) {
+			t.Fatal("pair count is not two per positive")
+		}
+		for i, p := range ps {
+			want := 1 - float64(i%2) // each positive, then its negative
+			if ys.At(i, 0) != want || y.At(p, vs[i]) != want {
+				t.Fatalf("pair %d (%d,%d): target %v, label %v, want %v", i, p, vs[i], ys.At(i, 0), y.At(p, vs[i]), want)
 			}
 		}
-	}
-	if pos != neg {
-		t.Fatalf("1:1 sampling violated: %d pos, %d neg", pos, neg)
 	}
 }
 

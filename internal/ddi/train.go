@@ -81,11 +81,7 @@ func (m *Model) Train() []float64 {
 	for epoch := 0; epoch < m.Config.Epochs; epoch++ {
 		m.tape.Reset()
 		_, loss := m.forward(m.tape)
-		m.tape.Backward(loss)
-		nn.CollectGradsInto(m.grads, m.tape, &m.params)
-		optim.ClipGlobalNorm(m.grads, 5)
-		opt.Step(m.params.All(), m.grads)
-		losses = append(losses, loss.Value.At(0, 0))
+		losses = append(losses, nn.Step(m.tape, loss, &m.params, m.grads, opt))
 	}
 	m.tape.Reset()
 	m.emb = m.tape.Detach(m.enc.embed(m.tape))

@@ -1,7 +1,7 @@
 // Package graph provides the graph data structures used across the
 // system: a generic undirected graph with adjacency queries (the base
-// for the truss/Steiner/community algorithms), the signed drug-drug
-// interaction graph, and the patient-drug bipartite graph.
+// for the truss/Steiner/community algorithms) and the signed drug-drug
+// interaction graph.
 package graph
 
 import (
@@ -184,23 +184,6 @@ func (g *Undirected) Connected(nodes []int) bool {
 		}
 	}
 	return true
-}
-
-// Diameter returns the longest shortest-path distance between any two
-// non-isolated, mutually reachable nodes of g; 0 for an edgeless graph.
-func (g *Undirected) Diameter() int {
-	var diam int
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) == 0 {
-			continue
-		}
-		for v, d := range g.BFSDistances(u) {
-			if d > diam && len(g.adj[v]) > 0 {
-				diam = d
-			}
-		}
-	}
-	return diam
 }
 
 // QueryDistance returns, for every node, the maximum hop distance to

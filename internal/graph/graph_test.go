@@ -88,19 +88,6 @@ func TestConnectedAndComponents(t *testing.T) {
 	}
 }
 
-func TestDiameter(t *testing.T) {
-	g := NewUndirected(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if d := g.Diameter(); d != 3 {
-		t.Fatalf("diameter %d, want 3", d)
-	}
-	if NewUndirected(3).Diameter() != 0 {
-		t.Fatal("edgeless diameter should be 0")
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := NewUndirected(4)
 	g.AddEdge(0, 1)
@@ -194,31 +181,4 @@ func TestSignStrings(t *testing.T) {
 	if Synergy.String() != "synergy" || Antagonism.String() != "antagonism" || NoInteraction.String() != "none" {
 		t.Fatal("sign strings wrong")
 	}
-}
-
-func TestBipartite(t *testing.T) {
-	b := NewBipartite(3, 4)
-	b.AddLink(0, 2)
-	b.AddLink(0, 1)
-	b.AddLink(0, 2) // duplicate
-	b.AddLink(2, 3)
-	if !b.HasLink(0, 2) || b.HasLink(1, 0) {
-		t.Fatal("HasLink wrong")
-	}
-	ds := b.DrugsOf(0)
-	if len(ds) != 2 || ds[0] != 1 || ds[1] != 2 {
-		t.Fatalf("DrugsOf sorted wrong: %v", ds)
-	}
-	if b.NumLinks() != 3 {
-		t.Fatalf("NumLinks=%d", b.NumLinks())
-	}
-}
-
-func TestBipartiteOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBipartite(2, 2).AddLink(0, 5)
 }

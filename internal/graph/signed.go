@@ -149,60 +149,3 @@ func (g *Signed) Interacting() *Undirected {
 	}
 	return u
 }
-
-// Bipartite is the patient-drug medication-use graph. links[i] holds
-// the sorted drug IDs patient i takes.
-type Bipartite struct {
-	Patients int
-	Drugs    int
-	links    [][]int
-	isLink   []map[int]bool
-}
-
-// NewBipartite returns an empty bipartite graph.
-func NewBipartite(patients, drugs int) *Bipartite {
-	b := &Bipartite{
-		Patients: patients,
-		Drugs:    drugs,
-		links:    make([][]int, patients),
-		isLink:   make([]map[int]bool, patients),
-	}
-	for i := range b.isLink {
-		b.isLink[i] = make(map[int]bool)
-	}
-	return b
-}
-
-// AddLink records that patient p takes drug d; duplicate calls are
-// no-ops.
-func (b *Bipartite) AddLink(p, d int) {
-	if p < 0 || p >= b.Patients || d < 0 || d >= b.Drugs {
-		panic(fmt.Sprintf("graph: link (%d,%d) out of range %dx%d", p, d, b.Patients, b.Drugs))
-	}
-	if b.isLink[p][d] {
-		return
-	}
-	b.isLink[p][d] = true
-	b.links[p] = append(b.links[p], d)
-	sort.Ints(b.links[p])
-}
-
-// HasLink reports whether patient p takes drug d.
-func (b *Bipartite) HasLink(p, d int) bool { return b.isLink[p][d] }
-
-// DrugsOf returns the sorted drugs of patient p (shared slice; do not
-// modify).
-func (b *Bipartite) DrugsOf(p int) []int { return b.links[p] }
-
-// Links returns the per-patient adjacency lists (shared; do not
-// modify).
-func (b *Bipartite) Links() [][]int { return b.links }
-
-// NumLinks returns the total number of patient-drug links.
-func (b *Bipartite) NumLinks() int {
-	var n int
-	for _, l := range b.links {
-		n += len(l)
-	}
-	return n
-}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dssddi/internal/mat"
-	"dssddi/internal/nn"
 	"dssddi/internal/optim"
 )
 
@@ -13,8 +12,8 @@ import (
 const steadyEpochBudget = 100
 
 // steadyModel trains a small MDGCN so its tape is recorded and its
-// counterfactual cache warm, and returns it with one epoch of Train's
-// loop on a fresh optimizer, already run once to warm that optimizer.
+// counterfactual cache warm, and returns it with Train's epoch on a
+// fresh optimizer, already run once to warm that optimizer.
 // Serial kernels keep allocation counts deterministic until the test
 // ends.
 func steadyModel(t *testing.T) (*Model, func()) {
@@ -31,22 +30,7 @@ func steadyModel(t *testing.T) (*Model, func()) {
 
 	opt := optim.NewAdam(cfg.LR)
 	opt.WeightDecay = cfg.WeightDecay
-	step := func() {
-		ps, vs, y, tr, cfY, cfT := m.epochPairs()
-		tp := m.tape
-		tp.Reset()
-		hPat, hDrug := m.encode(tp)
-		inter := m.decodeInter(tp, hPat, hDrug, ps, vs)
-		loss := tp.BCEWithLogits(m.decodeWith(tp, inter, tr), y)
-		if cfY != nil && m.Config.Delta > 0 {
-			cfLoss := tp.BCEWithLogits(m.decodeWith(tp, inter, cfT), cfY)
-			loss = tp.Add(loss, tp.Scale(cfLoss, m.Config.Delta))
-		}
-		tp.Backward(loss)
-		nn.CollectGradsInto(m.grads, tp, &m.params)
-		optim.ClipGlobalNorm(m.grads, 5)
-		opt.Step(m.params.All(), m.grads)
-	}
+	step := func() { m.epoch(opt) }
 	step()
 	return m, step
 }

@@ -131,13 +131,13 @@ func (m *Model) inductiveInputs() (layers []*mat.Dense, deg []float64) {
 	m.indMu.Lock()
 	defer m.indMu.Unlock()
 	if m.indLayers == nil {
-		hPat := m.fcPat.Forward(m.trainX)
-		hDrug := nn.ForwardActivation(m.fcDrug.Forward(m.drugFeat), nn.ActLeakyReLU)
+		hPat := m.fcPat.Forward(m.obs.X)
+		hDrug := nn.ForwardActivation(m.fcDrug.Forward(m.obs.DrugFeat), nn.ActLeakyReLU)
 		ls := []*mat.Dense{hDrug}
 		pT, dT := hPat, hDrug
 		for layer := 1; layer < m.Config.PropLayers; layer++ {
-			pNext := m.l2r.MulDense(dT)
-			dNext := m.r2l.MulDense(pT)
+			pNext := m.obs.L2R.MulDense(dT)
+			dNext := m.obs.R2L.MulDense(pT)
 			pT, dT = pNext, dNext
 			ls = append(ls, dT)
 		}

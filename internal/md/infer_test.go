@@ -42,7 +42,7 @@ func TestInferMatchesTapeEncode(t *testing.T) {
 	vIdx := []int{0, 1, 2, 3}
 	tr := column([]float64{0, 1, 0, 1})
 	want := m.decodeWith(tape, m.decodeInter(tape, hPatNode, hDrugNode, pIdx, vIdx), tr).Value
-	got := m.decodeInfer(m.fcPat.Forward(m.trainX), m.drugCache, pIdx, vIdx, tr)
+	got := m.decodeInfer(m.fcPat.Forward(m.obs.X), m.drugCache, pIdx, vIdx, tr)
 	for i, v := range got.Data() {
 		if v != want.Data()[i] {
 			t.Fatalf("logit %d: reference %v != tape %v", i, v, want.Data()[i])

@@ -1,18 +1,16 @@
 package md
 
 import (
-	"math"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"dssddi/internal/ag"
 	"dssddi/internal/dataset"
 	"dssddi/internal/mat"
+	"dssddi/internal/metrics"
 	"dssddi/internal/nn"
 	"dssddi/internal/optim"
 	"dssddi/internal/par"
-	"dssddi/internal/sparse"
 )
 
 // Config tunes MDGCN training. Defaults follow Section V-A3: hidden 64,
@@ -76,25 +74,19 @@ type Model struct {
 	relProj *nn.Linear // projects relation embeddings to Hidden when needed
 	decoder *nn.MLP    // Eqs. 14-15
 
-	drugFeat *mat.Dense // m x f drug input features
-	relEmb   *mat.Dense // m x r DDI relation embeddings (may be nil)
+	relEmb *mat.Dense       // m x r DDI relation embeddings (may be nil)
+	obs    dataset.Observed // the observed patients and drug features, and their propagation operators
 
-	l2r, r2l *sparse.CSR // bipartite propagation operators
-	trainX   *mat.Dense  // observed patients' features
-	trainY   *mat.Dense  // observed patients' labels
-
-	// Positive training pairs; negatives are resampled every epoch.
-	posP, posV []int
-	miner      *Miner
-	rng        *rand.Rand
-
-	// Retained training state: one tape replayed every epoch, a
-	// reused gradient slice, and per-epoch pair buffers (epochPairs
-	// refills them instead of reallocating).
-	tape                           *ag.Tape
-	grads                          []*mat.Dense
-	pairP, pairV                   []int
-	pairY, pairT, pairCFY, pairCFT *mat.Dense
+	// Training state, which serving models lack: the 1:1 pair sampler
+	// over obs.Y, the counterfactual miner, one tape replayed every
+	// epoch, a reused gradient slice and the per-epoch treatment and
+	// counterfactual columns epochPairs refills.
+	pairs                   *dataset.Pairs
+	miner                   *Miner
+	rng                     *rand.Rand
+	tape                    *ag.Tape
+	grads                   []*mat.Dense
+	pairT, pairCFY, pairCFT *mat.Dense
 
 	// drugCache holds the final drug representations h'_v once training
 	// finishes, so scoring a patient is a cached-embedding lookup plus
@@ -139,88 +131,43 @@ func NewModel(d *dataset.Dataset, relEmb *mat.Dense, cfg Config) *Model {
 			}
 		})
 	}
-	m := &Model{Config: cfg, Data: d, relEmb: relEmb}
-
-	m.drugFeat = d.DrugFeatures
-	if m.drugFeat == nil {
-		m.drugFeat = mat.OneHot(d.NumDrugs())
-	}
-	m.trainX = d.Rows(d.Train)
-	m.trainY = d.Labels(d.Train)
+	m := &Model{Config: cfg, Data: d, relEmb: relEmb, obs: d.Observed()}
 
 	m.fcPat = nn.NewMLP(rng, &m.params, []int{d.X.Cols(), cfg.Hidden, cfg.Hidden}, nn.ActLeakyReLU)
 	m.fcPat.OutAct = nn.ActLeakyReLU
-	m.fcDrug = nn.NewLinear(rng, &m.params, m.drugFeat.Cols(), cfg.Hidden)
+	m.fcDrug = nn.NewLinear(rng, &m.params, m.obs.DrugFeat.Cols(), cfg.Hidden)
 	if relEmb != nil && relEmb.Cols() != cfg.Hidden {
 		m.relProj = nn.NewLinear(rng, &m.params, relEmb.Cols(), cfg.Hidden)
 	}
 	m.decoder = nn.NewMLP(rng, &m.params, []int{cfg.Hidden + 1, cfg.Hidden, 1}, nn.ActLeakyReLU)
 
-	m.l2r, m.r2l = sparse.BipartiteNorm(len(d.Train), d.NumDrugs(), d.ObservedBipartite().Links())
+	m.Treatment = BuildTreatment(rng, m.obs.X, m.obs.Y, d.DDI, d.NumClusters)
 
-	m.Treatment = BuildTreatment(rng, m.trainX, m.trainY, d.DDI, d.NumClusters)
-
-	// Positive pairs over LOCAL train indices (0..len(Train)-1);
-	// negatives are drawn fresh every epoch (1:1) to prevent the
-	// decoder memorising a fixed negative set.
-	for p := 0; p < m.trainY.Rows(); p++ {
-		for v := 0; v < m.trainY.Cols(); v++ {
-			if m.trainY.At(p, v) == 1 {
-				m.posP = append(m.posP, p)
-				m.posV = append(m.posV, v)
-			}
-		}
-	}
+	// Pairs over LOCAL train indices (0..len(Train)-1).
+	m.pairs = dataset.NewPairs(m.obs.Y)
+	n := m.pairs.Len()
+	m.pairT = mat.New(n, 1)
 	if cfg.UseCounterfactual {
-		m.miner = NewMiner(m.trainX, m.drugFeat, m.Treatment.T, m.trainY, cfg.CF)
+		m.miner = NewMiner(m.obs.X, m.obs.DrugFeat, m.Treatment.T, m.obs.Y, cfg.CF)
+		m.pairCFY, m.pairCFT = mat.New(n, 1), mat.New(n, 1)
 	}
 	m.rng = rng
 	m.pd, _ = nn.NewPairDecoder(m.decoder)
 	return m
 }
 
-// epochPairs builds this epoch's training pairs: every positive plus
-// one fresh negative per positive (the paper's 1:1 negative sampling),
-// together with the treatment column and — when enabled — the
-// counterfactual treatment/outcome columns. The returned slices and
-// matrices are model-retained buffers refilled in place, so an epoch
-// allocates nothing here.
+// epochPairs builds this epoch's training pairs (the 1:1 sample of
+// m.pairs) together with the treatment column and — when enabled —
+// the counterfactual treatment/outcome columns. The returned slices
+// and matrices are model-retained buffers refilled in place, so an
+// epoch allocates nothing here.
 func (m *Model) epochPairs() (ps, vs []int, y, tr, cfY, cfT *mat.Dense) {
-	nDrugs := m.trainY.Cols()
-	total := 2 * len(m.posP)
-	if cap(m.pairP) < total {
-		m.pairP = make([]int, 0, total)
-		m.pairV = make([]int, 0, total)
-		m.pairY = mat.New(total, 1)
-		m.pairT = mat.New(total, 1)
-		if m.miner != nil {
-			m.pairCFY = mat.New(total, 1)
-			m.pairCFT = mat.New(total, 1)
-		}
-	}
-	ps, vs = m.pairP[:0], m.pairV[:0]
-	yd := m.pairY.Data()
-	for i := range m.posP {
-		p := m.posP[i]
-		ps = append(ps, p)
-		vs = append(vs, m.posV[i])
-		yd[len(ps)-1] = 1
-		for {
-			neg := m.rng.Intn(nDrugs)
-			if m.trainY.At(p, neg) != 1 {
-				ps = append(ps, p)
-				vs = append(vs, neg)
-				yd[len(ps)-1] = 0
-				break
-			}
-		}
-	}
-	m.pairP, m.pairV = ps, vs
+	ps, vs, y = m.pairs.Sample(m.rng)
 	td := m.pairT.Data()
 	for i := range ps {
 		td[i] = m.Treatment.T.At(ps[i], vs[i])
 	}
-	y, tr = m.pairY, m.pairT
+	tr = m.pairT
 	if m.miner != nil {
 		cfYd, cfTd := m.pairCFY.Data(), m.pairCFT.Data()
 		for i := range ps {
@@ -235,16 +182,16 @@ func (m *Model) epochPairs() (ps, vs []int, y, tr, cfY, cfT *mat.Dense) {
 // per the paper's anti-over-smoothing design), and final drug reps
 // including the βt layer combination and the shared DDI embeddings.
 func (m *Model) encode(t *ag.Tape) (hPat, hDrugFinal *ag.Node) {
-	hPat = m.fcPat.Apply(t, t.Const(m.trainX))                         // Eq. 9
-	hDrug := t.LeakyReLU(m.fcDrug.Apply(t, t.Const(m.drugFeat)), 0.01) // Eq. 10
+	hPat = m.fcPat.Apply(t, t.Const(m.obs.X))                              // Eq. 9
+	hDrug := t.LeakyReLU(m.fcDrug.Apply(t, t.Const(m.obs.DrugFeat)), 0.01) // Eq. 10
 
 	// Propagation (Eqs. 11-12) with layer combination (Eq. 13):
 	// beta_t = 1/(t+2).
 	pT, dT := hPat, hDrug
 	hDrugFinal = t.Scale(hDrug, beta(0))
 	for layer := 1; layer <= m.Config.PropLayers; layer++ {
-		pNext := t.SpMM(m.l2r, dT)
-		dNext := t.SpMM(m.r2l, pT)
+		pNext := t.SpMM(m.obs.L2R, dT)
+		dNext := t.SpMM(m.obs.R2L, pT)
 		pT, dT = pNext, dNext
 		hDrugFinal = t.Add(hDrugFinal, t.Scale(dT, beta(layer)))
 	}
@@ -310,24 +257,7 @@ func (m *Model) Train() []float64 {
 	bestVal := -1.0
 	var bestSnap []*mat.Dense
 	for epoch := 0; epoch < m.Config.Epochs; epoch++ {
-		ps, vs, y, tr, cfY, cfT := m.epochPairs()
-		t := m.tape
-		t.Reset()
-		hPat, hDrug := m.encode(t)
-		inter := m.decodeInter(t, hPat, hDrug, ps, vs)
-		logits := m.decodeWith(t, inter, tr)
-		loss := t.BCEWithLogits(logits, y) // Eq. 16
-		if cfY != nil && m.Config.Delta > 0 {
-			cfLogits := m.decodeWith(t, inter, cfT)  // same pairs, cf treatment
-			cfLoss := t.BCEWithLogits(cfLogits, cfY) // Eq. 17
-			loss = t.Add(loss, t.Scale(cfLoss, m.Config.Delta))
-		}
-		t.Backward(loss)
-		nn.CollectGradsInto(m.grads, t, &m.params)
-		optim.ClipGlobalNorm(m.grads, 5)
-		opt.Step(m.params.All(), m.grads)
-		losses = append(losses, loss.Value.At(0, 0))
-
+		losses = append(losses, m.epoch(opt))
 		if m.Config.SelectOnVal && len(m.Data.Val) > 0 &&
 			((epoch+1)%valEvery == 0 || epoch == m.Config.Epochs-1) {
 			if v := m.valNDCG(); v > bestVal {
@@ -343,58 +273,33 @@ func (m *Model) Train() []float64 {
 	return losses
 }
 
+// epoch runs one training epoch on the retained tape: fresh pairs,
+// the factual loss (Eq. 16) plus δ times the counterfactual loss over
+// the same pairs (Eq. 17), and one nn.Step. It returns the loss.
+func (m *Model) epoch(opt *optim.Adam) float64 {
+	ps, vs, y, tr, cfY, cfT := m.epochPairs()
+	t := m.tape
+	t.Reset()
+	hPat, hDrug := m.encode(t)
+	inter := m.decodeInter(t, hPat, hDrug, ps, vs)
+	loss := t.BCEWithLogits(m.decodeWith(t, inter, tr), y)
+	if cfY != nil && m.Config.Delta > 0 {
+		cfLoss := t.BCEWithLogits(m.decodeWith(t, inter, cfT), cfY)
+		loss = t.Add(loss, t.Scale(cfLoss, m.Config.Delta))
+	}
+	return nn.Step(t, loss, &m.params, m.grads, opt)
+}
+
 // valNDCG scores the validation patients and returns NDCG@4.
 func (m *Model) valNDCG() float64 {
 	scores := m.Scores(m.Data.Val)
-	var total float64
-	var count int
+	sugg := make([][]int, len(m.Data.Val))
+	truth := make([][]int, len(m.Data.Val))
 	for i, p := range m.Data.Val {
-		truth := m.Data.TruePositives(p)
-		if len(truth) == 0 {
-			continue
-		}
-		total += ndcgAt(scores.Row(i), truth, 4)
-		count++
+		sugg[i] = metrics.TopK(scores.Row(i), 4)
+		truth[i] = m.Data.TruePositives(p)
 	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}
-
-// ndcgAt computes binary-relevance NDCG@k for one score row.
-func ndcgAt(scores []float64, truth []int, k int) float64 {
-	type sv struct {
-		idx int
-		v   float64
-	}
-	top := make([]sv, len(scores))
-	for i, v := range scores {
-		top[i] = sv{i, v}
-	}
-	sort.SliceStable(top, func(a, b int) bool { return top[a].v > top[b].v })
-	isRel := make(map[int]bool, len(truth))
-	for _, v := range truth {
-		isRel[v] = true
-	}
-	var dcg float64
-	for s := 0; s < k && s < len(top); s++ {
-		if isRel[top[s].idx] {
-			dcg += 1 / math.Log2(float64(s)+2)
-		}
-	}
-	ideal := len(truth)
-	if ideal > k {
-		ideal = k
-	}
-	var idcg float64
-	for s := 0; s < ideal; s++ {
-		idcg += 1 / math.Log2(float64(s)+2)
-	}
-	if idcg == 0 {
-		return 0
-	}
-	return dcg / idcg
+	return metrics.NDCGAtK(sugg, truth, 4)
 }
 
 func snapshot(params []*mat.Dense) []*mat.Dense {

@@ -6,7 +6,6 @@ import (
 	"dssddi/internal/dataset"
 	"dssddi/internal/mat"
 	"dssddi/internal/nn"
-	"dssddi/internal/sparse"
 )
 
 // ServingState bundles everything a trained Model needs to score
@@ -98,18 +97,11 @@ func NewServing(d *dataset.Dataset, st ServingState) (*Model, error) {
 		m.params.Register(l.W)
 		m.params.Register(l.B)
 	}
-	// Derived, dataset-owned inputs: the drug features, the observed
-	// patients' rows and the bipartite propagation operators. The
-	// inductive patient layer derives its inputs from them (the drug
-	// cache serves every other request), and they keep encode runnable
-	// on a restored model.
-	m.drugFeat = d.DrugFeatures
-	if m.drugFeat == nil {
-		m.drugFeat = mat.OneHot(d.NumDrugs())
-	}
-	m.trainX = d.Rows(d.Train)
-	m.trainY = d.Labels(d.Train)
-	m.l2r, m.r2l = sparse.BipartiteNorm(len(d.Train), d.NumDrugs(), d.ObservedBipartite().Links())
+	// The observed view is derived from the dataset: the inductive
+	// patient layer derives its inputs from it (the drug cache serves
+	// every other request), and it keeps encode runnable on a restored
+	// model.
+	m.obs = d.Observed()
 	// The fused scoring kernel references the decoder's live weight
 	// matrices, so a restored model scores through the same tiled
 	// engine (and with the same bits) as the model it was saved from.

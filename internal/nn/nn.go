@@ -277,10 +277,5 @@ func NewEmbedding(rng *rand.Rand, ps *Params, n, d int) *Embedding {
 	return &Embedding{Table: ps.Register(mat.RandNormal(rng, n, d, 0.1))}
 }
 
-// Lookup gathers the rows for ids.
-func (e *Embedding) Lookup(t *ag.Tape, ids []int) *ag.Node {
-	return t.GatherRows(t.Param(e.Table), ids)
-}
-
 // Full returns the whole table as a node.
 func (e *Embedding) Full(t *ag.Tape) *ag.Node { return t.Param(e.Table) }

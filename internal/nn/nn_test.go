@@ -55,30 +55,17 @@ func TestMLPLearnsXOR(t *testing.T) {
 	x := mat.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})
 	y := mat.FromRows([][]float64{{0}, {1}, {1}, {0}})
 	opt := optim.NewAdam(0.05)
+	tape := ag.NewTape()
+	grads := make([]*mat.Dense, len(ps.All()))
 	var loss float64
 	for epoch := 0; epoch < 500; epoch++ {
-		tape := ag.NewTape()
+		tape.Reset()
 		out := m.Apply(tape, tape.Const(x))
-		l := tape.BCEWithLogits(out, y)
-		tape.Backward(l)
-		loss = l.Value.At(0, 0)
-		grads := gradsFor(tape, &ps)
-		opt.Step(ps.All(), grads)
+		loss = Step(tape, tape.BCEWithLogits(out, y), &ps, grads, opt)
 	}
 	if loss > 0.1 {
 		t.Fatalf("MLP failed to fit XOR, final loss %v", loss)
 	}
-}
-
-// gradsFor extracts the gradient of each registered parameter from the
-// most recent tape. Parameters are matched by identity of the value
-// matrix; test-local helper mirroring what trainers do.
-func gradsFor(tape *ag.Tape, ps *Params) []*mat.Dense {
-	// The tape stores nodes in creation order; parameters wrapped with
-	// tape.Param(p) share the backing *mat.Dense. Collect the gradient
-	// by re-wrapping: since Param always creates a new node per call,
-	// walk the param list and find grads via a map.
-	return CollectGrads(tape, ps)
 }
 
 func TestBatchNormNormalises(t *testing.T) {
@@ -121,29 +108,14 @@ func TestBatchNormGammaBetaTrainable(t *testing.T) {
 	y := bn.Apply(tape, tape.Const(x))
 	l := tape.Mean(y)
 	tape.Backward(l)
-	grads := CollectGrads(tape, &ps)
+	grads := make([]*mat.Dense, len(ps.All()))
+	CollectGradsInto(grads, tape, &ps)
 	if grads[0] == nil && grads[1] == nil {
 		t.Fatal("expected gradients on gamma/beta")
 	}
 	// Beta's gradient for mean loss is 1/n per column-sum contribution.
 	if grads[1] == nil || grads[1].MaxAbs() == 0 {
 		t.Fatal("beta should receive gradient")
-	}
-}
-
-func TestEmbeddingLookup(t *testing.T) {
-	var ps Params
-	rng := rand.New(rand.NewSource(7))
-	e := NewEmbedding(rng, &ps, 5, 3)
-	tape := ag.NewTape()
-	out := e.Lookup(tape, []int{4, 0})
-	if out.Rows() != 2 || out.Cols() != 3 {
-		t.Fatalf("lookup shape %dx%d", out.Rows(), out.Cols())
-	}
-	for j := 0; j < 3; j++ {
-		if out.Value.At(0, j) != e.Table.At(4, j) {
-			t.Fatal("lookup row mismatch")
-		}
 	}
 }
 
@@ -187,15 +159,13 @@ func TestGRULearnsSequenceSignal(t *testing.T) {
 	noise1 := mat.RandNormal(rng, n, 1, 0.1)
 	noise2 := mat.RandNormal(rng, n, 1, 0.1)
 	opt := optim.NewAdam(0.03)
+	tape := ag.NewTape()
+	grads := make([]*mat.Dense, len(ps.All()))
 	var loss float64
 	for epoch := 0; epoch < 300; epoch++ {
-		tape := ag.NewTape()
+		tape.Reset()
 		h := g.Run(tape, []*ag.Node{tape.Const(first), tape.Const(noise1), tape.Const(noise2)})
-		logits := readout.Apply(tape, h)
-		l := tape.BCEWithLogits(logits, labels)
-		tape.Backward(l)
-		loss = l.Value.At(0, 0)
-		opt.Step(ps.All(), CollectGrads(tape, &ps))
+		loss = Step(tape, tape.BCEWithLogits(readout.Apply(tape, h), labels), &ps, grads, opt)
 	}
 	if loss > 0.2 {
 		t.Fatalf("GRU failed to learn first-step signal, loss %v", loss)

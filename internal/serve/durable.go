@@ -85,10 +85,7 @@ func openDurableStore(cfg Config, r *patientRegistry) (*durableStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckptPath := cfg.CheckpointPath
-	if ckptPath == "" {
-		ckptPath = cfg.WALPath + ".ckpt"
-	}
+	ckptPath := cfg.WALPath + ".ckpt"
 	if err := loadCheckpoint(ckptPath, r.restore); err != nil {
 		return nil, err
 	}

@@ -93,8 +93,8 @@ type Config struct {
 
 	// WALPath enables the durable patient registry: every mutation is
 	// write-ahead-logged to this file before it is acknowledged, and
-	// the registry is rebuilt from checkpoint + log on boot. Empty
-	// keeps the registry RAM-only.
+	// the registry is rebuilt from checkpoint (WALPath + ".ckpt") + log
+	// on boot. Empty keeps the registry RAM-only.
 	WALPath string
 	// WALSync is the fsync policy: "always" (every acknowledged write
 	// survives power loss), "interval" (default; bounded loss on power
@@ -103,9 +103,6 @@ type Config struct {
 	// WALSyncInterval is the flush cadence under "interval"
 	// (default 100ms).
 	WALSyncInterval time.Duration
-	// CheckpointPath is the registry checkpoint file (default
-	// WALPath + ".ckpt").
-	CheckpointPath string
 	// CheckpointEvery is how many logged mutations trigger an
 	// automatic checkpoint + log truncation (default 1024; negative
 	// disables automatic compaction).

@@ -67,3 +67,29 @@ func TestLoadRejectsDDINodeCount(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsSplitIndex pins a dataset split naming a patient the
+// dataset does not have. The checksum and the dataset digest cover the
+// split, so a re-stamped file passed both, and Load panicked building
+// the serving model (mat: row out of range) instead of failing.
+func TestLoadRejectsSplitIndex(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1 << 40, -1} {
+		sys, err := Load(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.data.ds.Train[0] = p
+		sys.digest = datasetDigest(sys.data.ds)
+		var buf bytes.Buffer
+		if err := sys.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "split") {
+			t.Fatalf("train patient %d: Load returned %v, want a dataset split error", p, err)
+		}
+	}
+}

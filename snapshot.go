@@ -296,9 +296,21 @@ func readDataset(d *snapshot.Decoder) *dataset.Dataset {
 	if d.Err() != nil {
 		return ds
 	}
-	if ds.Y == nil {
-		d.Fail(fmt.Errorf("dssddi: corrupt dataset: no label matrix"))
+	if ds.X == nil || ds.Y == nil {
+		d.Fail(fmt.Errorf("dssddi: corrupt dataset: no feature or label matrix"))
 		return ds
+	}
+	if ds.X.Rows() != ds.Y.Rows() {
+		d.Fail(fmt.Errorf("dssddi: corrupt dataset: %d feature rows for %d label rows", ds.X.Rows(), ds.Y.Rows()))
+		return ds
+	}
+	for _, split := range [][]int{ds.Train, ds.Val, ds.Test} {
+		for _, p := range split {
+			if p < 0 || p >= ds.X.Rows() {
+				d.Fail(fmt.Errorf("dssddi: corrupt dataset split: patient %d of %d", p, ds.X.Rows()))
+				return ds
+			}
+		}
 	}
 	// The graph is sized by n before the checksum is verified, so n
 	// must be the drug count before anything is allocated.
