@@ -41,7 +41,7 @@ lint:
 # The fuzz targets CI runs: the Prometheus exposition round trip, the
 # consistent-hash ring, the router's routing rule, the registry's WAL
 # record codec, the serve request bodies, the snapshot decoder, the
-# snapshot loader and the registry merge.
+# snapshot loader, the MD section decoder and the registry merge.
 fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzWriteProm -fuzztime 20s -fuzzminimizetime 100x
 	$(GO) test ./internal/router -run '^$$' -fuzz FuzzRing -fuzztime 10s -fuzzminimizetime 100x
@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzHandler -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzDecoder -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test . -run '^$$' -fuzz FuzzLoad -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/md -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/regproto -run '^$$' -fuzz FuzzMerge -fuzztime 10s -fuzzminimizetime 100x
 
 # Train a tiny model, round-trip it through a snapshot, boot the HTTP

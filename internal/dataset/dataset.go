@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"dssddi/internal/graph"
 	"dssddi/internal/mat"
@@ -173,6 +174,15 @@ type Observed struct {
 	L2R, R2L *sparse.CSR
 }
 
+// DrugFeatureWidth is the width of Observed's DrugFeat, computed
+// without building it.
+func (d *Dataset) DrugFeatureWidth() int {
+	if d.DrugFeatures != nil {
+		return d.DrugFeatures.Cols()
+	}
+	return d.NumDrugs()
+}
+
 // Observed builds the training view over the train patients.
 func (d *Dataset) Observed() Observed {
 	o := Observed{X: d.Rows(d.Train), Y: d.Labels(d.Train), DrugFeat: d.DrugFeatures}
@@ -200,10 +210,15 @@ type Pairs struct {
 	t    *mat.Dense
 }
 
-// NewPairs indexes the positives of y.
+// NewPairs indexes the positives of y. A row with no negative (a
+// patient who takes every drug) has no 1:1 pair to draw, so its
+// positives are left out, and Sample's rejection loop always ends.
 func NewPairs(y *mat.Dense) *Pairs {
 	s := &Pairs{y: y}
 	for p := 0; p < y.Rows(); p++ {
+		if !slices.ContainsFunc(y.Row(p), func(v float64) bool { return v != 1 }) {
+			continue
+		}
 		for v := 0; v < y.Cols(); v++ {
 			if y.At(p, v) == 1 {
 				s.posP = append(s.posP, p)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dssddi/internal/mat"
 	"dssddi/internal/synth"
@@ -125,6 +126,26 @@ func TestPairsBalanced(t *testing.T) {
 				t.Fatalf("pair %d (%d,%d): target %v, label %v, want %v", i, p, vs[i], ys.At(i, 0), y.At(p, vs[i]), want)
 			}
 		}
+	}
+}
+
+// TestPairsSkipRowWithoutNegative samples a label matrix whose second
+// row takes every column. That row has no negative to draw, so it
+// contributes no pairs; rejection-sampling one never ended.
+func TestPairsSkipRowWithoutNegative(t *testing.T) {
+	y := mat.FromRows([][]float64{{1, 0, 0}, {1, 1, 1}})
+	done := make(chan []int, 1)
+	go func() {
+		ps, _, _ := NewPairs(y).Sample(rand.New(rand.NewSource(1)))
+		done <- ps
+	}()
+	select {
+	case ps := <-done:
+		if len(ps) != 2 || ps[0] != 0 || ps[1] != 0 {
+			t.Fatalf("pairs drawn for rows %v, want one positive and one negative of row 0", ps)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Sample still running after 2 s")
 	}
 }
 

@@ -133,9 +133,11 @@ func (s *DSSDDISuggester) Fit(d *dataset.Dataset) {
 	mcfg.Epochs = s.Opts.MDEpochs
 	mcfg.Seed = s.Opts.Seed
 	mcfg.UseDDI = s.UseDDI
-	// δ selected on the validation split for the synthetic cohort (the
-	// paper fixes δ=1 on its data and selects hyperparameters on
-	// validation; see EXPERIMENTS.md).
+	// δ = 0.3, below the δ = 1 the paper fixes on its own data. On this
+	// synthetic cohort a heavier counterfactual loss lowers validation
+	// NDCG@4 (Quick options, seed 1, SGCN: 0.232 at δ = 0, 0.225 at
+	// 0.3, 0.221 at 1), while δ = 0 would drop the loss of Eq. 17 from
+	// the model altogether; 0.3 keeps it at a reduced weight.
 	mcfg.Delta = 0.3
 	s.MD = md.NewModel(d, relEmb, mcfg)
 	s.MD.Train()

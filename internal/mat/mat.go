@@ -42,6 +42,18 @@ func NewFrom(rows, cols int, data []float64) *Dense {
 	return &Dense{rows: rows, cols: cols, data: data}
 }
 
+// Unallocated returns a rows x cols matrix without storage: a
+// placeholder fixing the shape a reader fills in (see
+// snapshot.Decoder.MatrixInto), which allocates the storage as the
+// data arrives rather than up front. Its elements must not be used
+// before then.
+func Unallocated(rows, cols int) *Dense {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
+	}
+	return &Dense{rows: rows, cols: cols}
+}
+
 // FromRows builds a matrix from a slice of equal-length rows.
 func FromRows(rows [][]float64) *Dense {
 	if len(rows) == 0 {

@@ -124,20 +124,23 @@ func (m *Model) EmbedPatient(regimen []int, features []float64) (*PatientEmbeddi
 // representations d_0..d_{L-1} of the training propagation — encode's
 // recurrence evaluated on plain matrices, retaining each layer instead
 // of only their β-combination — and the drugs' observed bipartite
-// degrees. Everything is derived from state NewServing restores, so a
+// degrees. Everything is derived from state Decode restores, so a
 // snapshot-loaded model embeds identically to the model it was saved
-// from and the snapshot format needs no extra weights.
+// from and the snapshot format needs no extra weights. The
+// observed-data view is built here, once, because a decoded model
+// keeps none (see Decode).
 func (m *Model) inductiveInputs() (layers []*mat.Dense, deg []float64) {
 	m.indMu.Lock()
 	defer m.indMu.Unlock()
 	if m.indLayers == nil {
-		hPat := m.fcPat.Forward(m.obs.X)
-		hDrug := nn.ForwardActivation(m.fcDrug.Forward(m.obs.DrugFeat), nn.ActLeakyReLU)
+		obs := m.Data.Observed()
+		hPat := m.fcPat.Forward(obs.X)
+		hDrug := nn.ForwardActivation(m.fcDrug.Forward(obs.DrugFeat), nn.ActLeakyReLU)
 		ls := []*mat.Dense{hDrug}
 		pT, dT := hPat, hDrug
 		for layer := 1; layer < m.Config.PropLayers; layer++ {
-			pNext := m.obs.L2R.MulDense(dT)
-			dNext := m.obs.R2L.MulDense(pT)
+			pNext := obs.L2R.MulDense(dT)
+			dNext := obs.R2L.MulDense(pT)
 			pT, dT = pNext, dNext
 			ls = append(ls, dT)
 		}

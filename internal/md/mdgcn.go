@@ -74,13 +74,14 @@ type Model struct {
 	relProj *nn.Linear // projects relation embeddings to Hidden when needed
 	decoder *nn.MLP    // Eqs. 14-15
 
-	relEmb *mat.Dense       // m x r DDI relation embeddings (may be nil)
-	obs    dataset.Observed // the observed patients and drug features, and their propagation operators
+	relEmb *mat.Dense // m x r DDI relation embeddings (may be nil)
 
-	// Training state, which serving models lack: the 1:1 pair sampler
-	// over obs.Y, the counterfactual miner, one tape replayed every
-	// epoch, a reused gradient slice and the per-epoch treatment and
-	// counterfactual columns epochPairs refills.
+	// Training state, which serving models lack: the observed patients
+	// and drug features with their propagation operators, the 1:1 pair
+	// sampler over obs.Y, the counterfactual miner, one tape replayed
+	// every epoch, a reused gradient slice and the per-epoch treatment
+	// and counterfactual columns epochPairs refills.
+	obs                     dataset.Observed
 	pairs                   *dataset.Pairs
 	miner                   *Miner
 	rng                     *rand.Rand
@@ -118,6 +119,7 @@ type Model struct {
 // one-hot IDs.
 func NewModel(d *dataset.Dataset, relEmb *mat.Dense, cfg Config) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	rel := 0
 	if relEmb != nil {
 		relEmb = relEmb.Clone()
 		par.For(relEmb.Rows(), 16, func(lo, hi int) {
@@ -130,17 +132,10 @@ func NewModel(d *dataset.Dataset, relEmb *mat.Dense, cfg Config) *Model {
 				}
 			}
 		})
+		rel = relEmb.Cols()
 	}
-	m := &Model{Config: cfg, Data: d, relEmb: relEmb, obs: d.Observed()}
-
-	m.fcPat = nn.NewMLP(rng, &m.params, []int{d.X.Cols(), cfg.Hidden, cfg.Hidden}, nn.ActLeakyReLU)
-	m.fcPat.OutAct = nn.ActLeakyReLU
-	m.fcDrug = nn.NewLinear(rng, &m.params, m.obs.DrugFeat.Cols(), cfg.Hidden)
-	if relEmb != nil && relEmb.Cols() != cfg.Hidden {
-		m.relProj = nn.NewLinear(rng, &m.params, relEmb.Cols(), cfg.Hidden)
-	}
-	m.decoder = nn.NewMLP(rng, &m.params, []int{cfg.Hidden + 1, cfg.Hidden, 1}, nn.ActLeakyReLU)
-
+	m := newModel(rng, d, cfg, rel)
+	m.relEmb, m.obs = relEmb, d.Observed()
 	m.Treatment = BuildTreatment(rng, m.obs.X, m.obs.Y, d.DDI, d.NumClusters)
 
 	// Pairs over LOCAL train indices (0..len(Train)-1).
@@ -153,6 +148,24 @@ func NewModel(d *dataset.Dataset, relEmb *mat.Dense, cfg Config) *Model {
 	}
 	m.rng = rng
 	m.pd, _ = nn.NewPairDecoder(m.decoder)
+	return m
+}
+
+// newModel builds MDGCN's layers over d for relation embeddings rel
+// columns wide (0 for none): the patient encoder, the drug encoder, a
+// projection of the relation embeddings when they are neither absent
+// nor Hidden wide, and the decoder, drawing their initial weights from
+// rng in that order. NewModel and Decode both build through here; a
+// nil rng leaves every parameter unallocated for Decode to read in.
+func newModel(rng *rand.Rand, d *dataset.Dataset, cfg Config, rel int) *Model {
+	m := &Model{Config: cfg, Data: d}
+	m.fcPat = nn.NewMLP(rng, &m.params, []int{d.X.Cols(), cfg.Hidden, cfg.Hidden}, nn.ActLeakyReLU)
+	m.fcPat.OutAct = nn.ActLeakyReLU
+	m.fcDrug = nn.NewLinear(rng, &m.params, d.DrugFeatureWidth(), cfg.Hidden)
+	if rel != 0 && rel != cfg.Hidden {
+		m.relProj = nn.NewLinear(rng, &m.params, rel, cfg.Hidden)
+	}
+	m.decoder = nn.NewMLP(rng, &m.params, []int{cfg.Hidden + 1, cfg.Hidden, 1}, nn.ActLeakyReLU)
 	return m
 }
 
@@ -262,12 +275,12 @@ func (m *Model) Train() []float64 {
 			((epoch+1)%valEvery == 0 || epoch == m.Config.Epochs-1) {
 			if v := m.valNDCG(); v > bestVal {
 				bestVal = v
-				bestSnap = snapshot(m.params.All())
+				bestSnap = cloneParams(m.params.All())
 			}
 		}
 	}
 	if bestSnap != nil {
-		restore(m.params.All(), bestSnap)
+		restoreParams(m.params.All(), bestSnap)
 	}
 	m.drugCache = m.inferDrugReps().Clone()
 	return losses
@@ -302,7 +315,7 @@ func (m *Model) valNDCG() float64 {
 	return metrics.NDCGAtK(sugg, truth, 4)
 }
 
-func snapshot(params []*mat.Dense) []*mat.Dense {
+func cloneParams(params []*mat.Dense) []*mat.Dense {
 	out := make([]*mat.Dense, len(params))
 	for i, p := range params {
 		out[i] = p.Clone()
@@ -310,7 +323,7 @@ func snapshot(params []*mat.Dense) []*mat.Dense {
 	return out
 }
 
-func restore(params, snap []*mat.Dense) {
+func restoreParams(params, snap []*mat.Dense) {
 	for i, p := range params {
 		p.CopyFrom(snap[i])
 	}
@@ -335,8 +348,8 @@ func (m *Model) inferDrugReps() *mat.Dense {
 // post-training cache when available, recomputed on the tape otherwise
 // (validation scoring mid-training). The fallback runs only while
 // drugCache is nil, i.e. before Train finishes, and it must not run
-// concurrently; serving models always hold the cache, because
-// NewServing requires it.
+// concurrently; serving models always hold the cache, because Decode
+// requires it.
 func (m *Model) drugReps() *mat.Dense {
 	if m.drugCache != nil {
 		return m.drugCache

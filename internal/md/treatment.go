@@ -8,7 +8,6 @@ package md
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"dssddi/internal/cluster"
 	"dssddi/internal/graph"
@@ -136,43 +135,6 @@ func expandSynergy(ddi *graph.Signed, row []float64) {
 			row[u] = 1
 		}
 	}
-}
-
-// ClusterSets exports the post-step-2 cluster treatment sets (sorted
-// drug IDs per cluster) — the part of a Treatment that cannot be
-// recomputed from its exported fields. Together with T, Assign,
-// Centroids and the DDI graph it fully determines the inference
-// behaviour (see RestoreTreatment).
-func (t *Treatment) ClusterSets() [][]int {
-	out := make([][]int, len(t.clusterDrugs))
-	for c, set := range t.clusterDrugs {
-		drugs := make([]int, 0, len(set))
-		for v := range set {
-			drugs = append(drugs, v)
-		}
-		sort.Ints(drugs)
-		out[c] = drugs
-	}
-	return out
-}
-
-// RestoreTreatment rebuilds a Treatment from serialized state: the
-// treatment matrix, cluster assignment, centroids and per-cluster
-// treatment sets (as returned by ClusterSets), plus the DDI graph the
-// synergy expansion runs on. The precomputed inference rows are
-// re-derived with the same expansion as BuildTreatment, so InferRow on
-// the restored value is bitwise identical to the original.
-func RestoreTreatment(T *mat.Dense, assign []int, centroids *mat.Dense, clusterSets [][]int, ddi *graph.Signed) *Treatment {
-	t := &Treatment{T: T, Assign: assign, Centroids: centroids, ddi: ddi}
-	t.clusterDrugs = make([]map[int]bool, len(clusterSets))
-	for c, drugs := range clusterSets {
-		t.clusterDrugs[c] = make(map[int]bool, len(drugs))
-		for _, v := range drugs {
-			t.clusterDrugs[c][v] = true
-		}
-	}
-	t.buildClusterRows(ddi.N())
-	return t
 }
 
 // InferRow derives the treatment row for an unobserved patient from

@@ -143,8 +143,13 @@ type Linear struct {
 }
 
 // NewLinear creates a Glorot-initialised linear layer and registers its
-// parameters.
+// parameters. A nil rng leaves the weights and bias unallocated
+// (mat.Unallocated), for a layer whose parameters are decoded rather
+// than trained.
 func NewLinear(rng *rand.Rand, ps *Params, in, out int) *Linear {
+	if rng == nil {
+		return &Linear{W: ps.Register(mat.Unallocated(in, out)), B: ps.Register(mat.Unallocated(1, out))}
+	}
 	return &Linear{
 		W: ps.Register(mat.GlorotUniform(rng, in, out)),
 		B: ps.Register(mat.New(1, out)),

@@ -482,6 +482,30 @@ func (d *Decoder) Matrix() *mat.Dense {
 	return mat.NewFrom(rows, cols, data)
 }
 
+// MatrixInto reads a matrix written by Encoder.Matrix into m, whose
+// dimensions the stream must declare: a nil matrix or any other
+// dimensions fail the decoder before a payload byte is read. The
+// payload replaces m's storage and is allocated as it arrives, as
+// Matrix's is, so m may be a mat.Unallocated placeholder: the caller
+// decides the shape, and the stream pays for the memory.
+func (d *Decoder) MatrixInto(m *mat.Dense) {
+	if !d.Bool() {
+		d.Fail(fmt.Errorf("snapshot: no matrix where a %dx%d one belongs", m.Rows(), m.Cols()))
+		return
+	}
+	rows, cols := d.Int(), d.Int()
+	if d.err != nil {
+		return
+	}
+	if rows != m.Rows() || cols != m.Cols() {
+		d.err = fmt.Errorf("snapshot: %dx%d matrix where a %dx%d one belongs", rows, cols, m.Rows(), m.Cols())
+		return
+	}
+	if data := d.floats(rows * cols); d.err == nil {
+		*m = *mat.NewFrom(rows, cols, data)
+	}
+}
+
 // Err returns the sticky decoder error.
 func (d *Decoder) Err() error { return d.err }
 

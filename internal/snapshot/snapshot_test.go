@@ -198,6 +198,53 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestMatrixInto reads a matrix into an unallocated one of its shape,
+// and fails on a nil matrix or on other dimensions before any payload:
+// the mismatched stream below ends after its dimensions, yet the error
+// names them rather than the missing payload.
+func TestMatrixInto(t *testing.T) {
+	src := mat.FromRows([][]float64{{1, 2, 3}, {4, 5, math.Inf(-1)}})
+	decoder := func(write func(e *Encoder)) *Decoder {
+		t.Helper()
+		var buf bytes.Buffer
+		e := NewEncoder(&buf)
+		write(e)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDecoder(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+
+	dst := mat.Unallocated(2, 3)
+	d := decoder(func(e *Encoder) { e.Matrix(src) })
+	d.MatrixInto(dst)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
+	for i, v := range src.Data() {
+		if got := dst.Data()[i]; got != v {
+			t.Fatalf("MatrixInto data[%d] = %v, want %v", i, got, v)
+		}
+	}
+
+	for _, dims := range [][2]int{{2, 3}, {1 << 62, 4}} {
+		d = decoder(func(e *Encoder) { e.Bool(true); e.Int(dims[0]); e.Int(dims[1]) })
+		d.MatrixInto(mat.Unallocated(3, 2))
+		if d.Err() == nil || !strings.Contains(d.Err().Error(), "matrix where a 3x2 one belongs") {
+			t.Fatalf("a %dx%d matrix read into a 3x2 one: got %v", dims[0], dims[1], d.Err())
+		}
+	}
+	d = decoder(func(e *Encoder) { e.Matrix(nil) })
+	d.MatrixInto(mat.Unallocated(2, 3))
+	if d.Err() == nil || !strings.Contains(d.Err().Error(), "no matrix") {
+		t.Fatalf("a nil matrix read into a 2x3 one: got %v", d.Err())
+	}
+}
+
 func TestGiantLengthRejectedBeforeAllocation(t *testing.T) {
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)

@@ -3,9 +3,13 @@ package dssddi
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
+	"dssddi/internal/dataset"
+	"dssddi/internal/ddi"
+	"dssddi/internal/graph"
 	"dssddi/internal/mat"
 	"dssddi/internal/snapshot"
 )
@@ -91,5 +95,109 @@ func TestLoadRejectsSplitIndex(t *testing.T) {
 		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "split") {
 			t.Fatalf("train patient %d: Load returned %v, want a dataset split error", p, err)
 		}
+	}
+}
+
+// TestLoadRejectsReshapedGolden changes one shape of the golden model,
+// re-stamps the dataset digest and saves it, so the file passes both
+// the digest and the checksum. Served, such a file panics on a read
+// path (a regimen-only SuggestFor, or every Suggest), or lists a
+// patient twice; Load must refuse it.
+func TestLoadRejectsReshapedGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden-v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(s *System)
+	}{
+		{"drug feature rows", func(s *System) {
+			f := s.data.ds.DrugFeatures
+			s.data.ds.DrugFeatures = mat.NewFrom(80, f.Cols(), f.Data()[:80*f.Cols()])
+		}},
+		{"drug feature width", func(s *System) { s.data.ds.DrugFeatures = mat.New(s.data.NumDrugs(), 3) }},
+		{"centroids one column short", func(s *System) {
+			c := s.mdModel.Treatment.Centroids
+			s.mdModel.Treatment.Centroids = mat.New(c.Rows(), c.Cols()-1)
+		}},
+		{"train patient listed twice", func(s *System) { s.data.ds.Train[1] = s.data.ds.Train[0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := Load(bytes.NewReader(golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.change(sys)
+			sys.digest = datasetDigest(sys.data.ds)
+			var buf bytes.Buffer
+			if err := sys.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&buf); err == nil {
+				t.Fatal("the reshaped golden model loads")
+			}
+		})
+	}
+}
+
+// TestLoadAllocationBoundedByStream: a stream that declares a wide
+// model, with a valid dataset digest and DDI embedding, and ends after
+// the MD config costs Load no more memory than the stream carries. The
+// MD layers of a 2048-wide model would take 64 MB, and the one-hot
+// drug features of 4096 drugs 128 MB, from streams of 17 KB and 98 KB.
+func TestLoadAllocationBoundedByStream(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		drugs, hidden int
+	}{
+		{"2048-wide model", 1, 2048},
+		{"4096 drugs without features", 4096, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := &dataset.Dataset{
+				X: mat.New(1, 1), Y: mat.New(1, tc.drugs), Train: []int{0},
+				DrugNames: make([]string, tc.drugs), NumClusters: 1, DDI: graph.NewSigned(tc.drugs),
+			}
+			var buf bytes.Buffer
+			e := snapshot.NewEncoder(&buf)
+			writeHeader(e, SnapshotInfo{Backbone: "SGCN", Hidden: tc.hidden, DatasetSHA256: datasetDigest(ds)})
+			writeDataset(e, ds)
+			e.Int(int(ddi.SGCN)) // DDI config: backbone, hidden, layers, epochs, LR, zero ratio, seed
+			e.Int(tc.hidden)
+			e.Int(2)
+			e.Int(1)
+			e.Float(0.01)
+			e.Float(0)
+			e.Int64(1)
+			e.Matrix(mat.New(tc.drugs, tc.hidden))
+			e.Int(tc.hidden) // MD config: hidden, propagation depth, epochs, ...
+			e.Int(2)
+			e.Int(1)
+			e.Float(0.01) // LR, δ, weight decay
+			e.Float(0.3)
+			e.Float(0)
+			e.Int64(1)
+			e.Float(0.5) // counterfactual quantiles and shortlist
+			e.Float(0.5)
+			e.Int(10)
+			e.Bool(true) // DDI, counterfactuals, validation selection
+			e.Bool(true)
+			e.Bool(false)
+			e.Int(1) // ValEvery; the first layer never arrives
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(bytes.NewReader(buf.Bytes()))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "MD module") {
+				t.Fatalf("Load returned %v, want an MD module read error", err)
+			}
+			if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+8*buf.Len()); got > budget {
+				t.Errorf("a %d-byte stream made Load allocate %.1f MiB, want at most %.1f MiB", buf.Len(), float64(got)/(1<<20), float64(budget)/(1<<20))
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"dssddi/internal/ddi"
 	"dssddi/internal/graph"
 	"dssddi/internal/md"
-	"dssddi/internal/nn"
 	"dssddi/internal/snapshot"
 )
 
@@ -28,6 +27,7 @@ import (
 //	DDI module: config + cached relation embeddings
 //	MD module: config, encoder/decoder weights, relation embeddings,
 //	           cached drug representations, treatment model
+//	           (internal/md/codec.go: md.Model.Encode and md.Decode)
 //	CRC32 footer                 (internal/snapshot)
 
 // SnapshotInfo is the cheap-to-read metadata at the head of a
@@ -60,10 +60,6 @@ func (s *System) Save(w io.Writer) error {
 	if err := s.ensureTrained(); err != nil {
 		return fmt.Errorf("dssddi: Save: %w", err)
 	}
-	mdState, err := s.mdModel.ServingState()
-	if err != nil {
-		return fmt.Errorf("dssddi: Save: %w", err)
-	}
 
 	e := snapshot.NewEncoder(w)
 	writeHeader(e, s.snapshotInfo())
@@ -82,7 +78,7 @@ func (s *System) Save(w io.Writer) error {
 	e.Int64(dcfg.Seed)
 	e.Matrix(s.ddiModel.Embeddings())
 
-	writeMDState(e, mdState)
+	s.mdModel.Encode(e)
 	if err := e.Finish(); err != nil {
 		return fmt.Errorf("dssddi: Save: %w", err)
 	}
@@ -126,21 +122,18 @@ func Load(r io.Reader) (*System, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("dssddi: Load: reading DDI module: %w", err)
 	}
+	ddiModel, err := ddi.FromEmbeddings(dcfg, ds.NumDrugs(), emb)
+	if err != nil {
+		return nil, fmt.Errorf("dssddi: Load: %w", err)
+	}
 
-	mdState := readMDState(d, ds)
-	if err := d.Err(); err != nil {
+	// Train builds the MD module over the DDI embeddings, which
+	// FromEmbeddings has just checked are Hidden wide.
+	mdModel, err := md.Decode(d, ds, dcfg.Hidden)
+	if err != nil {
 		return nil, fmt.Errorf("dssddi: Load: reading MD module: %w", err)
 	}
 	if err := d.Verify(); err != nil {
-		return nil, fmt.Errorf("dssddi: Load: %w", err)
-	}
-
-	ddiModel, err := ddi.FromEmbeddings(dcfg, emb)
-	if err != nil {
-		return nil, fmt.Errorf("dssddi: Load: %w", err)
-	}
-	mdModel, err := md.NewServing(ds, mdState)
-	if err != nil {
 		return nil, fmt.Errorf("dssddi: Load: %w", err)
 	}
 
@@ -296,24 +289,34 @@ func readDataset(d *snapshot.Decoder) *dataset.Dataset {
 	if d.Err() != nil {
 		return ds
 	}
-	if ds.X == nil || ds.Y == nil {
-		d.Fail(fmt.Errorf("dssddi: corrupt dataset: no feature or label matrix"))
+	// Every width below sizes an allocation before the checksum is
+	// verified, so each must be bounded by payload already read: a
+	// patient's label row carries the drug count, a drug's label column
+	// the patient count, and disjoint splits keep the observed rows
+	// within the patient rows.
+	if ds.X == nil || ds.Y == nil || ds.Y.Rows() == 0 || ds.Y.Cols() == 0 {
+		d.Fail(fmt.Errorf("dssddi: corrupt dataset: no patients or no drugs"))
 		return ds
 	}
 	if ds.X.Rows() != ds.Y.Rows() {
 		d.Fail(fmt.Errorf("dssddi: corrupt dataset: %d feature rows for %d label rows", ds.X.Rows(), ds.Y.Rows()))
 		return ds
 	}
+	if f := ds.DrugFeatures; f != nil && f.Rows() != ds.Y.Cols() {
+		d.Fail(fmt.Errorf("dssddi: corrupt dataset: %d drug feature rows for %d drugs", f.Rows(), ds.Y.Cols()))
+		return ds
+	}
+	seen := make([]bool, ds.X.Rows())
 	for _, split := range [][]int{ds.Train, ds.Val, ds.Test} {
 		for _, p := range split {
-			if p < 0 || p >= ds.X.Rows() {
-				d.Fail(fmt.Errorf("dssddi: corrupt dataset split: patient %d of %d", p, ds.X.Rows()))
+			if p < 0 || p >= len(seen) || seen[p] {
+				d.Fail(fmt.Errorf("dssddi: corrupt dataset split: patient %d of %d out of range or listed twice", p, ds.X.Rows()))
 				return ds
 			}
+			seen[p] = true
 		}
 	}
-	// The graph is sized by n before the checksum is verified, so n
-	// must be the drug count before anything is allocated.
+	// The graph is sized by n, so n must be the drug count.
 	if n != ds.Y.Cols() || len(u) != len(v) || len(u) != len(signs) {
 		d.Fail(fmt.Errorf("dssddi: corrupt DDI edge list (%d nodes for %d drugs, %d/%d/%d edge columns)", n, ds.Y.Cols(), len(u), len(v), len(signs)))
 		return ds
@@ -328,144 +331,4 @@ func readDataset(d *snapshot.Decoder) *dataset.Dataset {
 	}
 	ds.DDI = g
 	return ds
-}
-
-func writeMDState(e *snapshot.Encoder, st md.ServingState) {
-	cfg := st.Config
-	e.Int(cfg.Hidden)
-	e.Int(cfg.PropLayers)
-	e.Int(cfg.Epochs)
-	e.Float(cfg.LR)
-	e.Float(cfg.Delta)
-	e.Float(cfg.WeightDecay)
-	e.Int64(cfg.Seed)
-	e.Float(cfg.CF.GammaPQuantile)
-	e.Float(cfg.CF.GammaDQuantile)
-	e.Int(cfg.CF.Shortlist)
-	e.Bool(cfg.UseDDI)
-	e.Bool(cfg.UseCounterfactual)
-	e.Bool(cfg.SelectOnVal)
-	e.Int(cfg.ValEvery)
-
-	writeMLP(e, st.FcPat)
-	writeLinear(e, st.FcDrug)
-	e.Bool(st.RelProj != nil)
-	if st.RelProj != nil {
-		writeLinear(e, st.RelProj)
-	}
-	writeMLP(e, st.Decoder)
-	e.Matrix(st.RelEmb)
-	e.Matrix(st.DrugCache)
-
-	tr := st.Treatment
-	e.Matrix(tr.T)
-	e.Ints(tr.Assign)
-	e.Matrix(tr.Centroids)
-	sets := tr.ClusterSets()
-	e.Int(len(sets))
-	for _, set := range sets {
-		e.Ints(set)
-	}
-}
-
-func readMDState(d *snapshot.Decoder, ds *dataset.Dataset) md.ServingState {
-	var cfg md.Config
-	cfg.Hidden = d.Int()
-	cfg.PropLayers = d.Int()
-	cfg.Epochs = d.Int()
-	cfg.LR = d.Float()
-	cfg.Delta = d.Float()
-	cfg.WeightDecay = d.Float()
-	cfg.Seed = d.Int64()
-	cfg.CF.GammaPQuantile = d.Float()
-	cfg.CF.GammaDQuantile = d.Float()
-	cfg.CF.Shortlist = d.Int()
-	cfg.UseDDI = d.Bool()
-	cfg.UseCounterfactual = d.Bool()
-	cfg.SelectOnVal = d.Bool()
-	cfg.ValEvery = d.Int()
-
-	st := md.ServingState{Config: cfg}
-	st.FcPat = readMLP(d)
-	st.FcDrug = readLinear(d)
-	if d.Bool() {
-		st.RelProj = readLinear(d)
-	}
-	st.Decoder = readMLP(d)
-	st.RelEmb = d.Matrix()
-	st.DrugCache = d.Matrix()
-
-	T := d.Matrix()
-	assign := d.Ints()
-	centroids := d.Matrix()
-	nSets := d.Int()
-	if d.Err() != nil {
-		return st
-	}
-	if nSets < 0 || nSets > 1<<20 {
-		d.Fail(fmt.Errorf("dssddi: corrupt treatment cluster count %d", nSets))
-		return st
-	}
-	sets := make([][]int, nSets)
-	for i := range sets {
-		sets[i] = d.Ints()
-	}
-	if d.Err() != nil || ds.DDI == nil {
-		return st
-	}
-	for _, set := range sets {
-		for _, v := range set {
-			if v < 0 || v >= ds.DDI.N() {
-				d.Fail(fmt.Errorf("dssddi: corrupt treatment cluster drug %d on %d drugs", v, ds.DDI.N()))
-				return st
-			}
-		}
-	}
-	st.Treatment = md.RestoreTreatment(T, assign, centroids, sets, ds.DDI)
-	return st
-}
-
-// writeMLP serializes an MLP's layer weights and activations.
-func writeMLP(e *snapshot.Encoder, m *nn.MLP) {
-	e.Int(len(m.Layers))
-	for _, l := range m.Layers {
-		writeLinear(e, l)
-	}
-	e.Int(int(m.Act))
-	e.Int(int(m.OutAct))
-}
-
-func readMLP(d *snapshot.Decoder) *nn.MLP {
-	n := d.Int()
-	if d.Err() != nil {
-		return nil
-	}
-	if n <= 0 || n > 1<<10 {
-		d.Fail(fmt.Errorf("dssddi: corrupt MLP layer count %d", n))
-		return nil
-	}
-	m := &nn.MLP{Layers: make([]*nn.Linear, n)}
-	for i := range m.Layers {
-		m.Layers[i] = readLinear(d)
-	}
-	m.Act = nn.Activation(d.Int())
-	m.OutAct = nn.Activation(d.Int())
-	return m
-}
-
-func writeLinear(e *snapshot.Encoder, l *nn.Linear) {
-	e.Matrix(l.W)
-	e.Matrix(l.B)
-}
-
-func readLinear(d *snapshot.Decoder) *nn.Linear {
-	w, b := d.Matrix(), d.Matrix()
-	if d.Err() != nil {
-		return nil
-	}
-	if w == nil || b == nil || b.Rows() != 1 || w.Cols() != b.Cols() {
-		d.Fail(fmt.Errorf("dssddi: corrupt linear layer weights"))
-		return nil
-	}
-	return &nn.Linear{W: w, B: b}
 }
