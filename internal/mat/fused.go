@@ -101,20 +101,24 @@ func PairCoefLen(d int) int { return tilePairs * (d + 1) }
 //
 // At AVX-512 the quads run through a register tile, tilePairs pairs at
 // a time: the pairs' coefficients are formed once into coef, and for
-// each column chunk of a 16-quad panel of w the pairs' sums stay in
-// registers while each row of the chunk is loaded once for all of
-// them. The tile does not skip all-zero quads, which is exact for
-// finite w: a sum starts at +0 and can never become −0, so adding a
-// zero quad's ±0 leaves its bits alone. A block in which a pair has an
-// all-zero quad takes the per-quad kernel instead, so the tile is
-// exact for any w. Elsewhere the kernel table runs every quad of the
-// block in one call, quad loop outermost, skipping all-zero quads, so
-// each 4-row slab of w serves the whole block while it is cache-hot.
+// each column chunk of a 16-quad panel of w (two chunks a pass at
+// float32) the pairs' sums stay in registers while each row of the
+// chunk is loaded once for all of them. The tile sets its rows. It
+// does not skip all-zero quads, and adding one is exact only for
+// finite w and a sum that is not −0: at float64 a sum starts at +0 and
+// never becomes −0, but at float32 an FMA into +0 rounds to −0 when
+// its product underflows, and a zero quad would turn that −0 into +0.
+// A block in which a pair has an all-zero quad takes the per-quad
+// kernel instead, which skips it, so the tile is exact for any w.
+// Elsewhere the kernel table clears the rows and runs every quad of
+// the block in one call, quad loop outermost, skipping all-zero quads,
+// so each 4-row slab of w serves the whole block while it is
+// cache-hot.
 //
 // At float64 every quad sums as mulAddRows4 does, so every output is
 // bitwise identical to MulRowInto over the materialized row. At
-// float32 each quad is one FMA chain (quadFMAGo), identical at every
-// SIMD level.
+// float32 each multiply-add of a quad is one FMA into the pair's sum
+// (quadFMAGo), identical at every SIMD level.
 //
 // coef is scratch of at least PairCoefLen(len(x)) elements. Runs
 // entirely on the calling goroutine and allocates nothing.
@@ -135,7 +139,6 @@ func MulRowsHadamardInto[T Float](dst [][]T, x []T, ys [][]T, ts []T, w, coef []
 			panic(fmt.Sprintf("mat: MulRowsHadamardInto shape mismatch dst[%d] = concat(x[%d]⊙y[%d], t) * w[%d]",
 				len(dst[i]), d, len(y), len(w)))
 		}
-		clear(dst[i])
 	}
 	if h == 0 {
 		return

@@ -6,8 +6,8 @@ import "math"
 // loops of every dense kernel in this package:
 //
 //	mulAddRows4   dst[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
-//	quadFMA       t = a0*b0[j]; t = fma(a1, b1[j], t); t = fma(a2, b2[j], t);
-//	              t = fma(a3, b3[j], t); dst[j] += t        (float32 only)
+//	quadFMA       dst[j] = fma(a3, b3[j], fma(a2, b2[j], fma(a1, b1[j],
+//	              fma(a0, b0[j], dst[j]))))                (float32 only)
 //	mulAddRow1    dst[j] += a*b[j]
 //	addBiasLeaky  dst[i] = leaky(dst[i] + bias[i])
 //	dot4          four-accumulator float64 dot product (see dot4 in parallel.go)
@@ -27,11 +27,12 @@ import "math"
 //
 // No FMA is used at float64, so the f64 kernels stay bitwise identical
 // to the batched reference path. The float32 pair decode (pairQuads32)
-// runs one FMA chain per quad, quadFMA above: f32 has no bitwise
-// contract with the batched path, only the precision gate against the
-// f64 oracle. Its Go reference rounds each step exactly as the FMA
-// instructions do (fma32), so f32 bits are identical at every level
-// too. Both assembly forms run only where the CPU has FMA.
+// folds each multiply-add of a quad into the pair's running sum with
+// one FMA, quadFMA above: f32 has no bitwise contract with the batched
+// path, only the precision gate against the f64 oracle. Its Go
+// reference rounds each step exactly as the FMA instructions do
+// (fma32), so f32 bits are identical at every level too. Both assembly
+// forms run only where the CPU has FMA.
 //
 // The *Go reference implementations in this file are the fallback for
 // other architectures (and for CPUs without AVX2), and the oracle the
@@ -106,6 +107,14 @@ func mulAddRows4Go[T Float](dst, b4 []T, a0, a1, a2, a3 T) {
 	}
 }
 
+// clearRows zeroes dst's rows, for the pair-decode paths that add
+// into them: the register tile sets its rows, everything else adds.
+func clearRows[T Float](dst [][]T) {
+	for _, r := range dst {
+		clear(r)
+	}
+}
+
 // pairQuadsGo runs every full quad of the concatenated rows
 // concat(x⊙ys[i], ts[i]) of a pair block through quad: the quads of
 // x⊙y and, when len(x) % 4 == 3, the last one, which ts[i] closes.
@@ -132,17 +141,17 @@ func pairQuadsGo[T Float](dst [][]T, x []T, ys [][]T, ts []T, w []T, quad func(d
 }
 
 // quadFMAGo is the scalar reference of the float32 pair-decode quad:
-// t = a0*b0[j], then t = fma(a, b[j], t) for the other three rows,
-// then one add into dst[j]. b4 holds the four rows back to back.
+// each of the four multiply-adds is one fma into dst[j], in row order,
+// dst[j] = fma(a3, b3[j], fma(a2, b2[j], fma(a1, b1[j], fma(a0, b0[j],
+// dst[j])))). b4 holds the four rows back to back.
 func quadFMAGo(dst, b4 []float32, a0, a1, a2, a3 float32) {
 	n := len(dst)
 	b0, b1, b2, b3 := b4[:n], b4[n:2*n], b4[2*n:3*n], b4[3*n:4*n]
 	for j, bv := range b0 {
-		t := float32(a0 * bv)
-		t = fma32(a1, b1[j], t)
-		t = fma32(a2, b2[j], t)
-		t = fma32(a3, b3[j], t)
-		dst[j] += t
+		s := fma32(a0, bv, dst[j])
+		s = fma32(a1, b1[j], s)
+		s = fma32(a2, b2[j], s)
+		dst[j] = fma32(a3, b3[j], s)
 	}
 }
 

@@ -54,8 +54,7 @@ func TestSIMDKernels32Bitwise(t *testing.T) {
 
 // pairQuadKernels32 lists the assembly forms of pairQuads32 this CPU
 // can run: the AVX2 kernel, which adds to dst, and with tile set, on
-// AVX-512, the register tile through pairTiles32, which sets dst
-// unless a block has an all-zero quad.
+// AVX-512, the register tile through pairTiles32, which sets dst.
 func pairQuadKernels32(tile bool) map[string]func(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32) {
 	ks := map[string]func(dst [][]float32, x []float32, ys [][]float32, ts []float32, w []float32){}
 	if !cpuSupportsAVX2() || !cpuSupportsFMA() {
@@ -140,9 +139,10 @@ var specials = []float32{0, 1, 1 + 0x1p-23, 3, math.MaxFloat32, 0x1p-126, 0x1p-1
 
 // TestFMA32MatchesHardware checks the exactly rounded fma32 against the
 // FMA instructions of the block kernels: pair i runs the quad
-// (1, a_i, 0, 0) against rows (c, b, 0, 0), so lane j computes
-// fma(a_i, b[j], c[j]), then adds +0 three times (which only turns a
-// -0 into +0). Inputs are random, then the double-rounding class —
+// (1, a_i, 0, 0) against rows (c, b, 0, 0) on a cleared row, so lane j
+// computes fma(a_i, b[j], c[j]+0)+0+0 — the FMAs of 1·c and 0·0 only
+// turn a -0 into +0, and fma(a, b, c+0)+0 = fma(a, b, c)+0 for every
+// c. Inputs are random, then the double-rounding class —
 // a*b an exact float32 midpoint (odd 13-bit significands whose product
 // lies in [2^24, 2^25), scaled by a power of two) plus a tiny c of
 // either sign, where float32(math.FMA(a, b, c)) rounds the wrong way

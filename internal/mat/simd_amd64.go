@@ -141,37 +141,41 @@ func quadProductsAVX2(c, x, y []float64) (ok bool)
 //go:noescape
 func quadProductsAVX2F32(c, x, y []float32) (ok bool)
 
-// pairQuads64 runs the full quads of a float64 pair block: through the
-// register tile at AVX-512, else through mulAddRows4, so every pair
-// accumulates exactly as MulRowInto would. The caller
-// (MulRowsHadamardInto) has checked the shapes, cleared dst and sized
+// pairQuads64 sets dst to the full quads of a float64 pair block:
+// through the register tile at AVX-512, else through mulAddRows4 on
+// cleared rows, so every pair accumulates exactly as MulRowInto would.
+// The caller (MulRowsHadamardInto) has checked the shapes and sized
 // coef.
 func pairQuads64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w, coef []float64) {
 	if useAVX512 {
 		pairTiles64(dst, x, ys, ts, w, coef)
 		return
 	}
+	clearRows(dst)
 	pairQuadsGo(dst, x, ys, ts, w, mulAddRows4)
 }
 
-// pairQuads32 runs every full quad of a float32 pair block (see
-// pairQuadsGo) as one quadFMA chain per quad: through the register
-// tile at AVX-512, else in a single assembly call where the CPU has
-// FMA.
+// pairQuads32 sets dst to every full quad of a float32 pair block (see
+// pairQuadsGo), each quad as quadFMA: through the register tile at
+// AVX-512, else on cleared rows, in a single assembly call where the
+// CPU has FMA.
 func pairQuads32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w, coef []float32) {
-	switch {
-	case useAVX512 && useFMA:
+	if useAVX512 && useFMA {
 		pairTiles32(dst, x, ys, ts, w, coef)
-	case useFMA:
-		pairQuadsAVX2F32(dst, x, ys, ts, w)
-	default:
-		pairQuadsGo(dst, x, ys, ts, w, quadFMAGo)
+		return
 	}
+	clearRows(dst)
+	if useFMA {
+		pairQuadsAVX2F32(dst, x, ys, ts, w)
+		return
+	}
+	pairQuadsGo(dst, x, ys, ts, w, quadFMAGo)
 }
 
 // pairTiles64 runs a float64 pair block through the register tile,
-// tilePairs pairs at a time. A tile block in which a pair has an
-// all-zero quad, which the tile would not skip, takes mulAddRows4.
+// tilePairs pairs at a time; the tile sets its rows. A tile block in
+// which a pair has an all-zero quad, which the tile would not skip,
+// takes mulAddRows4 on cleared rows.
 func pairTiles64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w, coef []float64) {
 	for lo := 0; lo < len(dst); lo += tilePairs {
 		hi := min(lo+tilePairs, len(dst))
@@ -179,6 +183,7 @@ func pairTiles64(dst [][]float64, x []float64, ys [][]float64, ts []float64, w, 
 		if nq := pairTileSetup(&rows, coef, dst[lo:hi], x, ys[lo:hi], ts[lo:hi], quadProductsAVX2); nq > 0 {
 			pairTileAVX512(&rows, hi-lo, coef[:nq*4*tilePairs], w, len(dst[0]))
 		} else {
+			clearRows(dst[lo:hi])
 			pairQuadsGo(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w, mulAddRows4)
 		}
 	}
@@ -193,6 +198,7 @@ func pairTiles32(dst [][]float32, x []float32, ys [][]float32, ts []float32, w, 
 		if nq := pairTileSetup(&rows, coef, dst[lo:hi], x, ys[lo:hi], ts[lo:hi], quadProductsAVX2F32); nq > 0 {
 			pairTileAVX512F32(&rows, hi-lo, coef[:nq*4*tilePairs], w, len(dst[0]))
 		} else {
+			clearRows(dst[lo:hi])
 			pairQuadsAVX2F32(dst[lo:hi], x, ys[lo:hi], ts[lo:hi], w)
 		}
 	}

@@ -3,10 +3,10 @@
 // are independent output elements (or, for dot4, exactly the scalar
 // code's four interleaved accumulators), and scalar tails replicate
 // the same operation grouping. Multiplies and adds are separate
-// instructions except in the float32 pair-decode kernels, whose FMA
-// chain quadFMAGo reproduces step for step with an exactly rounded
-// fma32. Results are bitwise identical to the Go fallback for every
-// input.
+// instructions except in the float32 pair-decode kernels, whose FMAs
+// into the running sum quadFMAGo reproduces step for step with an
+// exactly rounded fma32. Results are bitwise identical to the Go
+// fallback for every input.
 
 #include "textflag.h"
 
@@ -620,8 +620,8 @@ ablf_done:
 // and each pair i, a = x[k:k+4] ⊙ ys[i][k:k+4] is formed in a register
 // (lane 3 = ts[i] when the quad is the last one and len(x) % 4 == 3),
 // all-zero quads are skipped, and every element of dst[i] gets
-// t = a0*w0; t = fma(a1,w1,t); t = fma(a2,w2,t); t = fma(a3,w3,t);
-// dst += t — 8 lanes a step, then scalar; needs FMA. Requires
+// dst = fma(a0,w0,dst), then fma(a1,w1,dst), fma(a2,w2,dst) and
+// fma(a3,w3,dst) — 8 lanes a step, then scalar; needs FMA. Requires
 // len(dst) == len(ys) == len(ts) >= 1, every dst row len(dst[0])
 // wide, every ys row len(x) long, and len(x)+1 rows in w.
 TEXT ·pairQuadsAVX2F32(SB), NOSPLIT, $0-120
@@ -681,11 +681,11 @@ pq2_coef:
 	JL   pq2_tail
 
 pq2_loop:
-	VMULPS      (DI), Y0, Y4
+	VMOVUPS     (SI), Y4
+	VFMADD231PS (DI), Y0, Y4
 	VFMADD231PS (DI)(R13*1), Y1, Y4
 	VFMADD231PS (AX), Y2, Y4
 	VFMADD231PS (AX)(R13*1), Y3, Y4
-	VADDPS      (SI), Y4, Y4
 	VMOVUPS     Y4, (SI)
 	ADDQ        $32, SI
 	ADDQ        $32, DI
@@ -699,11 +699,11 @@ pq2_tail:
 	JZ    pq2_next
 
 pq2_tail_loop:
-	VMULSS      (DI), X0, X4
+	VMOVSS      (SI), X4
+	VFMADD231SS (DI), X0, X4
 	VFMADD231SS (DI)(R13*1), X1, X4
 	VFMADD231SS (AX), X2, X4
 	VFMADD231SS (AX)(R13*1), X3, X4
-	VADDSS      (SI), X4, X4
 	VMOVSS      X4, (SI)
 	ADDQ        $4, SI
 	ADDQ        $4, DI

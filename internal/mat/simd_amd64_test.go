@@ -81,3 +81,66 @@ func TestSIMDKernelsBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestMulRowsHadamardIntoSetsRows checks that MulRowsHadamardInto sets
+// its rows on every path of the pair decode, at both precisions, so
+// that only the paths which add into the rows clear them: a run on
+// rows pre-filled with NaN must match a run on cleared rows, bit for
+// bit. Each case picks its path by the vector level (as DSSDDI_SIMD
+// caps it) and its inputs, and skips where the level is not available.
+func TestMulRowsHadamardIntoSetsRows(t *testing.T) {
+	defer func(avx2, fma, avx512 bool) { useAVX2, useFMA, useAVX512 = avx2, fma, avx512 }(useAVX2, useFMA, useAVX512)
+	cases := []struct {
+		name, level string
+		d           int
+		zeroQuad    bool // pair 0 has an all-zero quad
+	}{
+		{"register tile", "avx512", 70, false},
+		{"tile zero-quad fallback", "avx512", 70, true},
+		{"no full quad", "avx512", 2, false},
+		{"per-quad kernels", "avx2", 70, false},
+		{"go", "none", 70, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			useAVX2, useFMA, useAVX512 = detectSIMD()
+			switch tc.level {
+			case "none":
+				useAVX2, useFMA, useAVX512 = false, false, false
+			case "avx2":
+				useAVX512 = false
+			}
+			if SIMD() != tc.level || useAVX2 && !useFMA {
+				t.Skipf("level %s is not available here", tc.level)
+			}
+			checkSetsRows[float64](t, tc.d, tc.zeroQuad)
+			checkSetsRows[float32](t, tc.d, tc.zeroQuad)
+		})
+	}
+}
+
+func checkSetsRows[T Float](t *testing.T, d int, zeroQuad bool) {
+	const pairs, h = 9, 40 // a full tile block, then one pair
+	rng := rand.New(rand.NewSource(41))
+	vec := func(n int) []T {
+		out := make([]T, n)
+		for i, v := range randSlice(rng, n) {
+			out[i] = T(v)
+		}
+		return out
+	}
+	x, w, ts := vec(d), vec((d+1)*h), vec(pairs)
+	ys := make([][]T, pairs)
+	for i := range ys {
+		ys[i] = vec(d)
+	}
+	if zeroQuad {
+		clear(ys[0][:4])
+	}
+	run := func(fill T) [][]T {
+		dst := tileRows(pairs, h, fill)
+		MulRowsHadamardInto(dst, x, ys, ts, w, make([]T, PairCoefLen(d)))
+		return dst
+	}
+	compareTileRows(t, "NaN-filled rows against cleared ones", d, h, pairs, run(T(math.NaN())), run(0))
+}

@@ -1,17 +1,30 @@
 // The register tile of the layer-1 pair decode (see pairTiles64 in
 // simd_amd64.go), one kernel per precision. Both walk W1 in panels of
-// 16 quads (64 rows). For each column chunk of a panel, Z0-Z7 hold
-// the eight pairs' accumulators: zeroed in the first panel, loaded
-// from the pairs' rows after that, and stored back once the panel's
-// quads are in. Each quad loads the chunk of its four W1 rows into
-// Z8-Z11 once for all eight pairs and multiplies them by the pairs'
-// coefficients with embedded broadcasts. The coefficients are
-// quad-interleaved: at the start of a quad SI points at pair 0's
-// four, and pair p's follow 4p values later. K3 masks the chunk's
-// lanes, all of them except in a partial last chunk, so every memory
-// access stays inside the rows. Every output element sees its pair's
-// quads in order with the arithmetic of the per-quad kernels
-// (mulAddRows4AVX512, quadFMAGo), so the bits match theirs.
+// 16 quads (64 rows) and keep the eight pairs' sums in registers over
+// a panel: zeroed in the first panel, loaded from the pairs' rows
+// after that, and stored back once the panel's quads are in. Each quad
+// loads its four W1 rows once for all eight pairs. The coefficients
+// are quad-interleaved: at the start of a quad SI points at pair 0's
+// four, and pair p's follow 4p values later.
+//
+// At float64 a pass covers one 8-lane column chunk: Z0-Z7 hold the
+// sums, Z8-Z11 the chunk of the quad's rows, and each pair's quad is
+// (a0*w0 + a1*w1) + (a2*w2 + a3*w3) with embedded broadcasts, then
+// added to its sum, as mulAddRows4AVX512 computes it. K3 masks the
+// chunk's lanes, all of them except in a partial last chunk.
+//
+// At float32 each multiply-add of a quad is one FMA into the pair's
+// sum, as quadFMAGo computes it. Four dependent FMAs per quad would
+// leave eight sums latency-bound, so a pass covers two 16-lane column
+// chunks: Z0-Z7 hold the sums of the first, Z8-Z15 of the second,
+// Z16-Z19 and Z20-Z23 the two chunks of the quad's rows, and one
+// broadcast of each coefficient serves both chunks. K3 and K4 mask
+// the two chunks' lanes, all of them except in a partial last pass.
+//
+// Masked lanes are never read or written, so every memory access stays
+// inside the rows. Every output element sees its pair's quads in order
+// with the arithmetic of the per-quad kernels, so the bits match
+// theirs wherever the per-quad kernels skip no quad.
 
 #include "textflag.h"
 
@@ -27,28 +40,49 @@
 	VADDPD      Z13, Z12, Z12; \
 	VADDPD      Z12, acc, acc
 
-// TILE32_PAIR adds the float32 FMA chain t = a0*w0; t = fma(a1, w1, t);
-// t = fma(a2, w2, t); t = fma(a3, w3, t) to acc, the a's at off(SI).
-#define TILE32_PAIR(off, acc) \
-	VMULPS.BCST      off(SI), Z8, Z12; \
-	VFMADD231PS.BCST off+4(SI), Z9, Z12; \
-	VFMADD231PS.BCST off+8(SI), Z10, Z12; \
-	VFMADD231PS.BCST off+12(SI), Z11, Z12; \
-	VADDPS           Z12, acc, acc
+// TILE32_PAIR adds the float32 quad to both chunks of a pair's sums,
+// the a's at off(SI): acc = fma(a_i, w_i, acc) for i = 0..3 in order.
+#define TILE32_PAIR(off, acc, acc2) \
+	VBROADCASTSS off(SI), Z24; \
+	VFMADD231PS  Z24, Z16, acc; \
+	VFMADD231PS  Z24, Z20, acc2; \
+	VBROADCASTSS off+4(SI), Z25; \
+	VFMADD231PS  Z25, Z17, acc; \
+	VFMADD231PS  Z25, Z21, acc2; \
+	VBROADCASTSS off+8(SI), Z26; \
+	VFMADD231PS  Z26, Z18, acc; \
+	VFMADD231PS  Z26, Z22, acc2; \
+	VBROADCASTSS off+12(SI), Z27; \
+	VFMADD231PS  Z27, Z19, acc; \
+	VFMADD231PS  Z27, Z23, acc2
 
-// TILE_STORE stores acc to pair p's row chunk unless p is padding
+// TILE64_STORE stores acc to pair p's row chunk unless p is padding
 // (p >= n, n in R9): the row pointers are at R8, the chunk at byte
 // offset R14.
-#define TILE_STORE(mov, p, acc, done) \
+#define TILE64_STORE(p, acc, done) \
 	CMPQ R9, $p; \
 	JLE  done; \
 	MOVQ (p*8)(R8), AX; \
-	mov  acc, K3, (AX)(R14*1)
+	VMOVUPD acc, K3, (AX)(R14*1)
 
-// TILE_LOAD loads pair p's row chunk into acc.
-#define TILE_LOAD(mov, p, acc) \
+// TILE64_LOAD loads pair p's row chunk into acc.
+#define TILE64_LOAD(p, acc) \
 	MOVQ (p*8)(R8), AX; \
-	mov  (AX)(R14*1), K3, acc
+	VMOVUPD.Z (AX)(R14*1), K3, acc
+
+// TILE32_STORE stores both chunks of pair p's sums, as TILE64_STORE.
+#define TILE32_STORE(p, acc, acc2, done) \
+	CMPQ R9, $p; \
+	JLE  done; \
+	MOVQ (p*8)(R8), AX; \
+	VMOVUPS acc, K3, (AX)(R14*1); \
+	VMOVUPS acc2, K4, 64(AX)(R14*1)
+
+// TILE32_LOAD loads both chunks of pair p's sums.
+#define TILE32_LOAD(p, acc, acc2) \
+	MOVQ (p*8)(R8), AX; \
+	VMOVUPS.Z (AX)(R14*1), K3, acc; \
+	VMOVUPS.Z 64(AX)(R14*1), K4, acc2
 
 // func pairTileAVX512(rows *[8]*float64, n int, coef, w []float64, h int)
 //
@@ -99,14 +133,14 @@ t64_init:
 	JMP  t64_quads
 
 t64_reload:
-	TILE_LOAD(VMOVUPD.Z, 0, Z0)
-	TILE_LOAD(VMOVUPD.Z, 1, Z1)
-	TILE_LOAD(VMOVUPD.Z, 2, Z2)
-	TILE_LOAD(VMOVUPD.Z, 3, Z3)
-	TILE_LOAD(VMOVUPD.Z, 4, Z4)
-	TILE_LOAD(VMOVUPD.Z, 5, Z5)
-	TILE_LOAD(VMOVUPD.Z, 6, Z6)
-	TILE_LOAD(VMOVUPD.Z, 7, Z7)
+	TILE64_LOAD(0, Z0)
+	TILE64_LOAD(1, Z1)
+	TILE64_LOAD(2, Z2)
+	TILE64_LOAD(3, Z3)
+	TILE64_LOAD(4, Z4)
+	TILE64_LOAD(5, Z5)
+	TILE64_LOAD(6, Z6)
+	TILE64_LOAD(7, Z7)
 
 t64_quads:
 	MOVQ    R10, SI
@@ -135,13 +169,13 @@ t64_quad:
 
 	MOVQ    (R8), AX
 	VMOVUPD Z0, K3, (AX)(R14*1)
-	TILE_STORE(VMOVUPD, 1, Z1, t64_stored)
-	TILE_STORE(VMOVUPD, 2, Z2, t64_stored)
-	TILE_STORE(VMOVUPD, 3, Z3, t64_stored)
-	TILE_STORE(VMOVUPD, 4, Z4, t64_stored)
-	TILE_STORE(VMOVUPD, 5, Z5, t64_stored)
-	TILE_STORE(VMOVUPD, 6, Z6, t64_stored)
-	TILE_STORE(VMOVUPD, 7, Z7, t64_stored)
+	TILE64_STORE(1, Z1, t64_stored)
+	TILE64_STORE(2, Z2, t64_stored)
+	TILE64_STORE(3, Z3, t64_stored)
+	TILE64_STORE(4, Z4, t64_stored)
+	TILE64_STORE(5, Z5, t64_stored)
+	TILE64_STORE(6, Z6, t64_stored)
+	TILE64_STORE(7, Z7, t64_stored)
 
 t64_stored:
 	ADDQ $64, R14
@@ -159,7 +193,8 @@ t64_stored:
 
 // func pairTileAVX512F32(rows *[8]*float32, n int, coef, w []float32, h int)
 //
-// pairTileAVX512 at float32: 16 lanes a chunk, one FMA chain per quad.
+// pairTileAVX512 at float32: one FMA per multiply-add, two 16-lane
+// chunks a pass.
 TEXT ·pairTileAVX512F32(SB), NOSPLIT, $0-72
 	MOVQ rows+0(FP), R8
 	MOVQ n+8(FP), R9
@@ -171,24 +206,28 @@ TEXT ·pairTileAVX512F32(SB), NOSPLIT, $0-72
 	MOVQ CX, DX
 	SHLQ $2, DX
 	LEAQ (DX)(DX*2), R12
-	ANDQ $15, CX
+	ANDQ $31, CX
 	MOVL $1, AX
 	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K2
+	DECL AX                      // AX = the lanes of a partial last pass
+	KMOVW AX, K5                 // K5 = its first chunk's
+	SHRL $16, AX
+	KMOVW AX, K6                 // K6 = its second chunk's
 	MOVL $0xFFFF, AX
 	KMOVW AX, K1
 
 t32_panel:
-	XORQ R14, R14
+	XORQ R14, R14                // R14 = byte offset of the pass's first chunk
 
-t32_chunk:
+t32_pass:
 	KMOVW K1, K3
+	KMOVW K1, K4
 	MOVQ  DX, AX
 	SUBQ  R14, AX
-	CMPQ  AX, $64
+	CMPQ  AX, $128
 	JGE   t32_init
-	KMOVW K2, K3
+	KMOVW K5, K3
+	KMOVW K6, K4
 
 t32_init:
 	CMPQ R10, coef_base+16(FP)
@@ -201,17 +240,25 @@ t32_init:
 	VPXORD Z5, Z5, Z5
 	VPXORD Z6, Z6, Z6
 	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
 	JMP  t32_quads
 
 t32_reload:
-	TILE_LOAD(VMOVUPS.Z, 0, Z0)
-	TILE_LOAD(VMOVUPS.Z, 1, Z1)
-	TILE_LOAD(VMOVUPS.Z, 2, Z2)
-	TILE_LOAD(VMOVUPS.Z, 3, Z3)
-	TILE_LOAD(VMOVUPS.Z, 4, Z4)
-	TILE_LOAD(VMOVUPS.Z, 5, Z5)
-	TILE_LOAD(VMOVUPS.Z, 6, Z6)
-	TILE_LOAD(VMOVUPS.Z, 7, Z7)
+	TILE32_LOAD(0, Z0, Z8)
+	TILE32_LOAD(1, Z1, Z9)
+	TILE32_LOAD(2, Z2, Z10)
+	TILE32_LOAD(3, Z3, Z11)
+	TILE32_LOAD(4, Z4, Z12)
+	TILE32_LOAD(5, Z5, Z13)
+	TILE32_LOAD(6, Z6, Z14)
+	TILE32_LOAD(7, Z7, Z15)
 
 t32_quads:
 	MOVQ    R10, SI
@@ -221,18 +268,22 @@ t32_quads:
 	CMOVQLT R13, BX
 
 t32_quad:
-	VMOVUPS.Z (DI), K3, Z8
-	VMOVUPS.Z (DI)(DX*1), K3, Z9
-	VMOVUPS.Z (DI)(DX*2), K3, Z10
-	VMOVUPS.Z (DI)(R12*1), K3, Z11
-	TILE32_PAIR(0, Z0)
-	TILE32_PAIR(16, Z1)
-	TILE32_PAIR(32, Z2)
-	TILE32_PAIR(48, Z3)
-	TILE32_PAIR(64, Z4)
-	TILE32_PAIR(80, Z5)
-	TILE32_PAIR(96, Z6)
-	TILE32_PAIR(112, Z7)
+	VMOVUPS.Z (DI), K3, Z16
+	VMOVUPS.Z (DI)(DX*1), K3, Z17
+	VMOVUPS.Z (DI)(DX*2), K3, Z18
+	VMOVUPS.Z (DI)(R12*1), K3, Z19
+	VMOVUPS.Z 64(DI), K4, Z20
+	VMOVUPS.Z 64(DI)(DX*1), K4, Z21
+	VMOVUPS.Z 64(DI)(DX*2), K4, Z22
+	VMOVUPS.Z 64(DI)(R12*1), K4, Z23
+	TILE32_PAIR(0, Z0, Z8)
+	TILE32_PAIR(16, Z1, Z9)
+	TILE32_PAIR(32, Z2, Z10)
+	TILE32_PAIR(48, Z3, Z11)
+	TILE32_PAIR(64, Z4, Z12)
+	TILE32_PAIR(80, Z5, Z13)
+	TILE32_PAIR(96, Z6, Z14)
+	TILE32_PAIR(112, Z7, Z15)
 	ADDQ $128, SI
 	LEAQ (DI)(DX*4), DI
 	DECQ BX
@@ -240,18 +291,19 @@ t32_quad:
 
 	MOVQ    (R8), AX
 	VMOVUPS Z0, K3, (AX)(R14*1)
-	TILE_STORE(VMOVUPS, 1, Z1, t32_stored)
-	TILE_STORE(VMOVUPS, 2, Z2, t32_stored)
-	TILE_STORE(VMOVUPS, 3, Z3, t32_stored)
-	TILE_STORE(VMOVUPS, 4, Z4, t32_stored)
-	TILE_STORE(VMOVUPS, 5, Z5, t32_stored)
-	TILE_STORE(VMOVUPS, 6, Z6, t32_stored)
-	TILE_STORE(VMOVUPS, 7, Z7, t32_stored)
+	VMOVUPS Z8, K4, 64(AX)(R14*1)
+	TILE32_STORE(1, Z1, Z9, t32_stored)
+	TILE32_STORE(2, Z2, Z10, t32_stored)
+	TILE32_STORE(3, Z3, Z11, t32_stored)
+	TILE32_STORE(4, Z4, Z12, t32_stored)
+	TILE32_STORE(5, Z5, Z13, t32_stored)
+	TILE32_STORE(6, Z6, Z14, t32_stored)
+	TILE32_STORE(7, Z7, Z15, t32_stored)
 
 t32_stored:
-	ADDQ $64, R14
+	ADDQ $128, R14
 	CMPQ R14, DX
-	JLT  t32_chunk
+	JLT  t32_pass
 
 	ADDQ $2048, R10
 	MOVQ DX, AX

@@ -75,6 +75,41 @@ var tileCases = []tileCase{
 	}, fill: func(rng *rand.Rand, x []float64, ys [][]float64, ts, w []float64, h int) {
 		w[len(x)*h] = math.Inf(1)
 	}},
+	// In column 0 every product of a pair underflows to −0 at float32,
+	// so its first FMA, and every later step, leaves −0; only the last
+	// full quad, all zero, sits in front of positive weights. Adding it
+	// would turn the −0 into +0: only the skip keeps the −0.
+	{name: "zero quad after −0", zeroQuad: lastQuad, fill: func(rng *rand.Rand, x []float64, ys [][]float64, ts, w []float64, h int) {
+		d := len(x)
+		k := lastQuad(d)
+		if k < 0 {
+			return
+		}
+		pos := func() float64 { return 1 + rng.Float64() }
+		for i := range x {
+			x[i] = pos()
+		}
+		for p, y := range ys {
+			for i := range y {
+				y[i] = pos() * 1e-30
+			}
+			ts[p] = pos() * 1e-30
+		}
+		for r := 0; r <= d; r++ {
+			if w[r*h] = -pos() * 1e-20; r >= k && r < k+4 {
+				w[r*h] = pos()
+			}
+		}
+	}},
+}
+
+// lastQuad returns the first row of the last full quad at interaction
+// width d, or -1 when there are fewer than two quads.
+func lastQuad(d int) int {
+	if nq := (d + 1) / 4; nq >= 2 {
+		return 4 * (nq - 1)
+	}
+	return -1
 }
 
 // TestPairTileBitwise checks the register tile of the AVX-512 pair
@@ -82,10 +117,13 @@ var tileCases = []tileCase{
 // reference quads, bit for bit: interaction widths d around the
 // serving width 384 (every d % 4, so the treatment coefficient closes
 // the last quad at 383) and small ones whose quads end inside a panel,
-// hidden widths on and off the chunk grid, blocks of 1 to 8 pairs, and
-// the inputs of tileCases. Where a block has no all-zero quad the tile
-// must have run; where it has one, the per-quad kernel. Finally the
-// kernels run zero quads themselves, which is exact for finite W1.
+// hidden widths on and off the chunk grid (at float32 also widths
+// whose last pass of two chunks has a full first chunk and a partial
+// second, 24 and 56, or an empty second, 400), blocks of 1 to 8 pairs,
+// and the inputs of tileCases. Where a block has no all-zero quad the
+// tile must have run; where it has one, the per-quad kernel. Finally
+// the kernels run zero quads themselves, which is exact for finite W1
+// and sums that are not −0.
 func TestPairTileBitwise(t *testing.T) {
 	t.Logf("vector level %s; this CPU: AVX-512F %v, FMA %v", SIMD(), cpuSupportsAVX512(), cpuSupportsFMA())
 	if !cpuSupportsAVX512() || !cpuSupportsFMA() {
@@ -96,7 +134,7 @@ func TestPairTileBitwise(t *testing.T) {
 		checkPairTile(t, ds, []int{8, 13, 40, 384}, pairTiles64, pairTileAVX512, quadProductsAVX2, mulAddRows4Go[float64])
 	})
 	t.Run("f32", func(t *testing.T) {
-		checkPairTile(t, ds, []int{8, 16, 40, 48, 384}, pairTiles32, pairTileAVX512F32, quadProductsAVX2F32, quadFMAGo)
+		checkPairTile(t, ds, []int{8, 16, 24, 40, 48, 56, 384, 400}, pairTiles32, pairTileAVX512F32, quadProductsAVX2F32, quadFMAGo)
 	})
 }
 
@@ -160,7 +198,7 @@ func checkPairTile[T Float](t *testing.T, ds, hs []int,
 					if ran := pairTileSetup(&rows, coef, ref, x, bys, bts, products) > 0; ran == zero {
 						t.Fatalf("%T %s d=%d h=%d block %d: tile ran %v, want %v", T(0), tc.name, d, h, nb, ran, !zero)
 					}
-					got := tileRows[T](nb, h, 0)
+					got := tileRows[T](nb, h, T(math.NaN())) // both paths set the rows
 					tiles(got, x, bys, bts, w, coef)
 					compareTileRows(t, tc.name, d, h, nb, got, ref)
 				}
@@ -168,10 +206,11 @@ func checkPairTile[T Float](t *testing.T, ds, hs []int,
 		}
 	}
 
-	// The kernels on their own, with all-zero quads in every pair and
-	// finite W1: the sums start at +0, so adding a zero quad's ±0
-	// changes no bit against pairQuadsGo, which skips it. The rows
-	// start as NaN: the first panel must set them, not add to them.
+	// The kernels on their own, with all-zero quads in every pair,
+	// finite W1 and products far from underflow: no sum is −0, so
+	// adding a zero quad's ±0 changes no bit against pairQuadsGo, which
+	// skips it. The rows start as NaN: the first panel must set them,
+	// not add to them.
 	for _, d := range ds {
 		for _, h := range hs {
 			x, w := narrow(normals(rng, d)), narrow(normals(rng, (d+1)*h))
@@ -242,7 +281,7 @@ func compareTileRows[T Float](t *testing.T, name string, d, h, nb int, got, want
 	for p := range got {
 		for j, g := range got[p] {
 			if floatBits(g) != floatBits(want[p][j]) {
-				t.Fatalf("%T %s d=%d h=%d block %d pair %d col %d: tile %v (%#x) != go %v (%#x)",
+				t.Fatalf("%T %s d=%d h=%d block %d pair %d col %d: got %v (%#x), want %v (%#x)",
 					g, name, d, h, nb, p, j, g, floatBits(g), want[p][j], floatBits(want[p][j]))
 			}
 		}

@@ -30,10 +30,10 @@ var scoreBits = map[string]map[string]string{
 		"SuggestFor": "0ca165320a47b75e368945172cb5d88f1b6bbb626c21170994f3bebb824dc310",
 	},
 	"f32": {
-		"Scores":     "a04f5f10897017de72f0e1d7eb3623edc7cbbd8b5ec9caae2d9f7fe429ca0dae",
-		"Suggest":    "f8f81a6fa2460947c8c67cfda2ac212ea84e39a8c7572242a1af38a263065dd0",
-		"ScoresInto": "a04f5f10897017de72f0e1d7eb3623edc7cbbd8b5ec9caae2d9f7fe429ca0dae",
-		"SuggestFor": "914646902a323b935f98e9430932e9b64a857ea10aefc0768f302a453f804f63",
+		"Scores":     "6af650d0eb1b95faf446aff7ae1194e3156898b2e696f2aee0ec07dd8c60c073",
+		"Suggest":    "91b0cfe9fb6f5c161e2829d6a4dd6da3126b453abb5b729e40a7f6a7789cb4d6",
+		"ScoresInto": "6af650d0eb1b95faf446aff7ae1194e3156898b2e696f2aee0ec07dd8c60c073",
+		"SuggestFor": "56a16d7e0269ce866a3505b2f2732d7550921086e8be7a32087748d921ec9313",
 	},
 }
 
@@ -51,10 +51,10 @@ var scoreBits383 = map[string]map[string]string{
 		"SuggestFor": "ffde609d61254f89684bedd9d77cd2fb87fa7a1a49cbdd4e907ddf5c5214889c",
 	},
 	"f32": {
-		"Scores":     "e4cddcd09d2cd752ee773feffe53f1fee72e5ee8a6a477f323ad702843d96389",
-		"Suggest":    "02b55310e2e01441f77d783908e08edee1cad23c0ff2de53ba727d375e3ee3a2",
-		"ScoresInto": "e4cddcd09d2cd752ee773feffe53f1fee72e5ee8a6a477f323ad702843d96389",
-		"SuggestFor": "ac437bd7832981430da3455ff86a3a85a0f415e88ea1d3fbf165eb9c17f1d750",
+		"Scores":     "fc53c859bbab30b507ad4d5088d5dfe590d1731e8203912cec90bcb9da4e82e2",
+		"Suggest":    "3d2ee33017624ab8580abb9a04e39630a75c89c3be7a0dae2e34925014c53194",
+		"ScoresInto": "fc53c859bbab30b507ad4d5088d5dfe590d1731e8203912cec90bcb9da4e82e2",
+		"SuggestFor": "a4521dd0943092526db897f958c6b9b66afaadb57713b094c91e6f7cba5b7f28",
 	},
 }
 
